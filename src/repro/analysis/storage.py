@@ -90,26 +90,22 @@ def client_storage_flows(
     return flows
 
 
-def flow_graph(flows: Counter):
-    """Figure 7's Sankey as a weighted bipartite digraph (networkx).
+def flow_graph(flows: Counter) -> dict[str, dict[str, dict[str, int]]]:
+    """Figure 7's Sankey as a weighted bipartite adjacency map.
 
-    Nodes are ``client:<type>`` and ``storage:<type>``; edge weights are
-    observation counts, with a ``same_ip`` attribute carrying the count
-    of flows where the storage IP equals the client IP.
+    ``{source: {target: {"weight": n, "same_ip": m}}}`` with sources
+    ``client:<type>`` and targets ``storage:<type>``; edge weights are
+    observation counts, and ``same_ip`` counts the flows where the
+    storage IP equals the client IP.  Sources and targets keep the
+    order of their first flow.
     """
-    import networkx as nx
-
-    graph = nx.DiGraph()
+    graph: dict[str, dict[str, dict[str, int]]] = {}
     for (client_type, storage_type, same), count in flows.items():
-        source = f"client:{client_type}"
-        target = f"storage:{storage_type}"
-        if graph.has_edge(source, target):
-            graph[source][target]["weight"] += count
-            graph[source][target]["same_ip"] += count if same else 0
-        else:
-            graph.add_edge(
-                source, target, weight=count, same_ip=count if same else 0
-            )
+        edge = graph.setdefault(f"client:{client_type}", {}).setdefault(
+            f"storage:{storage_type}", {"weight": 0, "same_ip": 0}
+        )
+        edge["weight"] += count
+        edge["same_ip"] += count if same else 0
     return graph
 
 

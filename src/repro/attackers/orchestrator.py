@@ -14,9 +14,9 @@ collector and each honeypot's session counter — see
 
 That same per-day purity is what lets :mod:`repro.parallel` shard the
 window across processes: :func:`simulate_day` (the one inner loop, used
-by the serial path and by every shard worker) and :func:`count_day`
-(its rng-aligned counting twin) are defined here so the two execution
-engines can never drift apart.
+by the run loop's day step and by every shard worker) and
+:func:`count_day` (its rng-aligned counting twin) are defined here so
+the serial and sharded paths can never drift apart.
 """
 
 from __future__ import annotations
@@ -131,6 +131,9 @@ class SimulationSubstrate:
     coverage: CoverageReport
     #: Seeded scan-flood arrival generator, or None when bursts are off.
     flood: FloodGenerator | None = None
+    #: The fleet-extension hook the substrate was built with, so a
+    #: worker process can rebuild the identical substrate.
+    extra_bots_factory: "ExtraBotsFactory | None" = None
 
     def fresh_collector(self) -> Collector:
         """A new empty collector wired to this run's fault plan.
@@ -234,6 +237,7 @@ def build_substrate(
         flood=build_flood_generator(
             config.faults.flood, tree.child("faults", "flood")
         ),
+        extra_bots_factory=extra_bots_factory,
     )
 
 
@@ -356,8 +360,8 @@ def count_day(
     ``start_seconds`` consume the route rng exactly as the real loop
     does) but skips the honeypot shell and delivery.  The counts are
     exactly the session-counter increments the real loop would apply —
-    the parallel engine uses prefix sums of these to preset each
-    shard's honeypot counters.
+    the shard producer (:mod:`repro.parallel.engine`) uses prefix sums
+    of these to preset each shard's honeypot counters.
 
     Fast path: when telnet is included (the default) the count is
     independent of intent *contents*, so building intents is skipped
@@ -454,29 +458,22 @@ def _resume_state(
     config: SimulationConfig,
     honeynet: Honeynet,
     collector: Collector,
-    stream_sink: list | None = None,
-) -> date | None:
+) -> tuple[date | None, dict | None]:
     """Restore the newest valid checkpoint generation, loudly.
 
-    Shared by the stream engine (and thus the serial batch replay) and
-    the parallel engine.  Returns the first day left to simulate, or
-    ``None`` when no usable checkpoint exists (the caller starts
-    fresh).  Generations rejected as corrupt are reported via warnings
-    and ``checkpoint.*`` telemetry — a corrupted checkpoint costs
-    re-simulated days, never silence.
-
-    ``stream_sink``: a checkpoint written by a *degraded* supervised
-    stream carries a ``stream`` section; when a list is given here, the
-    restored section is appended to it so the caller can reinstate (or
-    refuse) the supervision state.  Callers that cannot reproduce
-    supervision (the parallel batch engine) must pass a sink and reject
-    a non-empty one.
+    Returns the first day left to simulate — ``None`` when no usable
+    checkpoint exists (the caller starts fresh) — and the checkpoint's
+    ``stream`` section: the supervision state a *degraded* supervised
+    stream run wrote, or ``None``.  The caller reinstates that state or
+    refuses it.  Generations rejected as corrupt are reported via
+    warnings and ``checkpoint.*`` telemetry — a corrupted checkpoint
+    costs re-simulated days, never silence.
     """
     if checkpoint_path is None:
         raise ValueError("resume=True requires a checkpoint_path")
     if not has_checkpoint(checkpoint_path):
         logger.info("no checkpoint at %s; starting fresh", checkpoint_path)
-        return None
+        return None, None
     checkpoint, rejected = load_latest_checkpoint(checkpoint_path, config)
     for note in rejected:
         logger.warning("rejected checkpoint generation: %s", note)
@@ -488,10 +485,8 @@ def _resume_state(
             "starting fresh — the full window will be re-simulated",
             checkpoint_path, len(rejected),
         )
-        return None
+        return None, None
     first_day = restore_state(checkpoint, honeynet, collector)
-    if stream_sink is not None and checkpoint.stream:
-        stream_sink.append(checkpoint.stream)
     telemetry.count("checkpoint.resumes")
     if rejected:
         telemetry.count("checkpoint.recovered_resumes")
@@ -504,7 +499,7 @@ def _resume_state(
         "resumed from %s: %d sessions, next day %s",
         checkpoint_path, len(collector.sessions), first_day,
     )
-    return first_day
+    return first_day, checkpoint.stream or None
 
 
 def _export_store(result: SimulationResult, store_dir: Path | str) -> Path:
@@ -557,8 +552,9 @@ def run_simulation(
     attacker behaviours against the same honeynet.
 
     Checkpointing: with ``checkpoint_path`` set, collector state and the
-    day cursor are saved every ``checkpoint_every_days`` simulated days
-    (atomic write, rotated generations).  ``resume=True`` restores the
+    day cursor are saved once at least ``checkpoint_every_days``
+    simulated days have passed since the last save (atomic write,
+    rotated generations).  ``resume=True`` restores the
     newest generation that passes its checksums and continues from the
     saved cursor; corrupt generations are rejected loudly and cost
     re-simulated days, and a missing checkpoint simply starts from
@@ -569,45 +565,26 @@ def run_simulation(
     shutdown mid-window; the returned result then covers only the
     simulated prefix.
 
-    ``workers`` (default ``config.workers``) selects the execution
-    engine: ``1`` replays the window through the stream engine's day
-    loop (:mod:`repro.stream`, supervision bypassed — the batch serial
-    path *is* the stream path); ``N > 1`` shards the window across
-    ``N`` processes via :mod:`repro.parallel` and merges a
+    ``workers`` overrides ``config.workers`` (the result's config then
+    carries the override): how many processes simulate the window.  Every worker count runs the stream engine's
+    one run loop (:mod:`repro.stream`, supervision bypassed — the batch
+    path *is* the stream path): ``1`` takes one serial day step per
+    day; ``N > 1`` has a pool of ``N`` processes simulate contiguous
+    shards (:mod:`repro.parallel`) and takes one step per shard, with a
     digest-identical result.  ``extra_bots_factory`` must then be
-    picklable (a module-level function), since workers rebuild the
+    picklable (a module-level function), since workers may rebuild the
     fleet themselves.
 
     ``store_dir``, when set, additionally writes the finished dataset as
     an indexed artifact tree (JSONL shards + ``index.sqlite``,
-    :mod:`repro.store`) under that directory — a post-merge projection
-    of the result, identical under both engines and byte-neutral to the
-    result itself.
+    :mod:`repro.store`) under that directory — a projection of the
+    finished result, identical at every worker count and byte-neutral
+    to the result itself.
     """
-    if workers is None:
-        workers = config.workers
-    if workers < 1:
-        raise ValueError(f"workers must be at least 1, got {workers}")
-    if workers > 1:
-        from repro.parallel.engine import run_simulation_parallel
-
-        result = run_simulation_parallel(
-            config,
-            extra_bots_factory,
-            workers=workers,
-            checkpoint_path=checkpoint_path,
-            checkpoint_every_days=checkpoint_every_days,
-            resume=resume,
-            stop_after=stop_after,
-        )
-        if store_dir is not None:
-            _export_store(result, store_dir)
-        return result
-
-    # Serial batch mode IS the stream engine replaying the window with
-    # supervision bypassed — one code path (see repro.stream.engine).
     from repro.stream.engine import run_stream
 
+    if workers is not None and workers != config.workers:
+        config = config.replace(workers=workers)
     return run_stream(
         config,
         extra_bots_factory,

@@ -42,9 +42,13 @@ class Fig07Sankey(Experiment):
         cloudy = (
             storage_types.get("Hosting", 0) + storage_types.get("CDN", 0)
         ) / total
-        graph = flow_graph(flows)
         heaviest = max(
-            graph.edges(data=True), key=lambda edge: edge[2]["weight"]
+            (
+                (source, target, edge)
+                for source, targets in flow_graph(flows).items()
+                for target, edge in targets.items()
+            ),
+            key=lambda edge: edge[2]["weight"],
         )
         notes = [
             f"storage IP differs from client IP in {different:.0%} of "

@@ -60,22 +60,6 @@ CHECKPOINT_VERSION = 2
 #: ``path``, ``path.1``, ``path.2``).
 CHECKPOINT_GENERATIONS = 3
 
-#: Counter names serialized from / restored into the collector.
-_COUNTER_KEYS = (
-    "generated",
-    "dropped_outage",
-    "dropped_sensor_down",
-    "retried",
-    "deduplicated",
-    "dead_lettered",
-    "quarantined",
-)
-
-#: Admission-gate counters.  Serialized only when nonzero, so a run
-#: with no gate (or one that never engaged) writes byte-identical
-#: checkpoints to the pre-overload format; restore tolerates absence.
-_OVERLOAD_COUNTER_KEYS = ("admitted", "shed", "deferred")
-
 #: Document sections covered by per-section checksums.
 _SECTIONS = ("honeypot_counters", "counters", "sessions", "dead_letters")
 
@@ -188,11 +172,14 @@ def save_checkpoint(
     """
     from repro.honeynet.io import session_to_dict
 
-    counters = {key: getattr(collector, key) for key in _COUNTER_KEYS}
-    for key in _OVERLOAD_COUNTER_KEYS:
-        value = getattr(collector, key)
-        if value:
-            counters[key] = value
+    # Admission-gate counters are serialized only when nonzero, so a run
+    # with no gate (or one that never engaged) writes byte-identical
+    # checkpoints to the pre-overload format; restore tolerates absence.
+    counters = {
+        key: value
+        for key, value in collector.counters().items()
+        if value or key not in collector.GATE_COUNTERS
+    }
     sections = {
         "honeypot_counters": {
             honeypot.honeypot_id: honeypot._counter
@@ -286,6 +273,7 @@ def _validate_document(document: dict, path: Path | str) -> None:
 
 
 def _checkpoint_from_document(document: dict, path: Path | str) -> Checkpoint:
+    from repro.honeynet.collector import Collector
     from repro.honeynet.io import SessionLogError, session_from_dict
 
     try:
@@ -298,7 +286,7 @@ def _checkpoint_from_document(document: dict, path: Path | str) -> Checkpoint:
             },
             counters={
                 key: int(document["counters"].get(key, 0))
-                for key in _COUNTER_KEYS + _OVERLOAD_COUNTER_KEYS
+                for key in Collector.COUNTERS
             },
             sessions=[session_from_dict(p) for p in document["sessions"]],
             dead_letters=[

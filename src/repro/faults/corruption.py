@@ -27,10 +27,10 @@ from repro.util.rng import RngTree
 class WorkerCrash(RuntimeError):
     """An injected shard-worker death (simulated process crash).
 
-    Raised inside a worker; the parallel engine treats it exactly like a
+    Raised inside a worker; the shard producer treats it exactly like a
     real crash: the shard's partial output is discarded, the shard is
-    deterministically re-executed, and bounded retries fall back to
-    serial in-process execution.
+    deterministically re-executed, and after bounded retries the run
+    loop simulates the shard with serial day steps in the parent.
     """
 
 
@@ -39,7 +39,7 @@ class WorkerHang(RuntimeError):
 
     The worker stops making progress for the fault's configured stall
     time and then dies like a crash, freeing its pool slot.  The
-    parallel engine treats the eventual death exactly like a
+    shard producer treats the eventual death exactly like a
     :class:`WorkerCrash`; with a shard deadline configured, the
     hung-worker watchdog cancels the attempt at the hard deadline
     instead of waiting the stall out.

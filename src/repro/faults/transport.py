@@ -191,12 +191,12 @@ class ResilientChannel:
     def mark_telemetry_flushed(self) -> None:
         """Advance the flush snapshot without emitting.
 
-        The parallel engine folds shard ``ChannelStats`` into the
-        parent channel after each merge; those deliveries were already
-        counted — by the shard's own registry, or inline during a
-        serial fallback — so the parent's final flush must not emit
-        them again (the mirror of
-        :meth:`Collector._mark_telemetry_flushed` after ``absorb``).
+        The run loop folds shard ``ChannelStats`` into the parent
+        channel after each merge; the shard's own registry already
+        counted those deliveries, so the parent's final flush must not
+        emit them again (the mirror of
+        :meth:`Collector._mark_telemetry_flushed` after
+        ``absorb_batch``).
         """
         self._flushed_attempts = self.stats.attempts
         self._flushed_delivered = self.stats.delivered

@@ -28,7 +28,7 @@ still ends up stored (or deduplicated).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Iterable
+from typing import TYPE_CHECKING, ClassVar, Iterable
 
 from repro import telemetry
 from repro.faults.plan import PAPER_OUTAGE, OutageWindow
@@ -47,6 +47,24 @@ DROP_SENSOR_DOWN = "sensor_down"
 @dataclass
 class Collector:
     """Accepts session records and applies collection-side effects."""
+
+    #: Every accounting counter, in checkpoint order — the one list that
+    #: checkpoints, shard outputs and merges read.
+    COUNTERS: ClassVar[tuple[str, ...]] = (
+        "generated",
+        "dropped_outage",
+        "dropped_sensor_down",
+        "retried",
+        "deduplicated",
+        "dead_lettered",
+        "quarantined",
+        "admitted",
+        "shed",
+        "deferred",
+    )
+    #: The admission-gate counters among :attr:`COUNTERS` (all 0 while
+    #: no gate is attached).
+    GATE_COUNTERS: ClassVar[tuple[str, ...]] = ("admitted", "shed", "deferred")
 
     outages: tuple[OutageWindow, ...] = (PAPER_OUTAGE,)
     #: ``(honeypot_id, day ordinal)`` pairs on which the sensor was down
@@ -243,8 +261,8 @@ class Collector:
 
         Used when counters change by means that were already accounted
         elsewhere: checkpoint restores (the originating run counted
-        them) and shard absorption (the shard's own registry counted
-        them and is merged separately).
+        them) and shard merges (the shard's own registry counted them
+        and is merged separately).
         """
         for name, current in self._telemetry_state():
             self._flushed[name] = current
@@ -257,21 +275,15 @@ class Collector:
         """Total records lost to outages or sensor downtime."""
         return self.dropped_outage + self.dropped_sensor_down
 
+    def counters(self) -> dict[str, int]:
+        """Every counter in :attr:`COUNTERS`, by name."""
+        return {key: getattr(self, key) for key in self.COUNTERS}
+
     def accounting(self) -> dict[str, int]:
         """Every counter plus the stored total, for reports and tests."""
-        return {
-            "generated": self.generated,
-            "stored": len(self.sessions),
-            "dropped_outage": self.dropped_outage,
-            "dropped_sensor_down": self.dropped_sensor_down,
-            "retried": self.retried,
-            "deduplicated": self.deduplicated,
-            "dead_lettered": self.dead_lettered,
-            "quarantined": self.quarantined,
-            "admitted": self.admitted,
-            "shed": self.shed,
-            "deferred": self.deferred,
-        }
+        counters = self.counters()
+        generated = counters.pop("generated")
+        return {"generated": generated, "stored": len(self.sessions), **counters}
 
     def accounting_balanced(self) -> bool:
         """Check the conservation law over the collection boundary."""
@@ -285,75 +297,39 @@ class Collector:
             + self.shed
         )
 
-    def absorb(
-        self,
-        sessions: Iterable[SessionRecord],
-        dead_letters: Iterable[SessionRecord],
-        counters: dict[str, int],
-    ) -> None:
-        """Merge one shard-local collector's state into this one.
-
-        Used by :mod:`repro.parallel.engine`: shard collectors are
-        merged in shard (chronological) order, so appending reproduces
-        the serial ingestion order and summing the counters reproduces
-        the serial accounting — every per-record effect (drop, dedup,
-        dead-letter) already happened inside the shard.
-        """
-        absorbed = len(self.sessions)
-        self.sessions.extend(sessions)
-        new_sessions = self.sessions[absorbed:]
-        self._seen_ids.update(record.session_id for record in new_sessions)
-        absorbed = len(self.sessions) - absorbed
-        dead = len(self.dead_letters)
-        self.dead_letters.extend(dead_letters)
-        self._absorb_bookkeeping(absorbed, len(self.dead_letters) - dead, counters)
-
     def absorb_batch(
         self,
         sessions: "ColumnBatch",
         dead_letters: "ColumnBatch",
         counters: dict[str, int],
     ) -> None:
-        """Merge a shard's columnar output (:mod:`repro.honeynet.columnar`).
+        """Merge one shard's columnar output (:mod:`repro.honeynet.columnar`).
 
-        The vectorized twin of :meth:`absorb`: the shard shipped compact
-        column buffers over IPC, so decode them in bulk here — session
-        ids come straight off the id column (one buffer decode) rather
-        than attribute lookups on freshly built records.
+        Shards are merged in shard (chronological) order, so appending
+        reproduces the serial ingestion order and summing the counters
+        reproduces the serial accounting — every per-record effect
+        (drop, dedup, dead-letter) already happened inside the shard.
+        Session ids come straight off the id column (one buffer decode)
+        rather than attribute lookups on freshly built records.
+
+        The shard's own registry already counted every per-record effect
+        (and is merged separately by the engine), so the telemetry
+        snapshot is advanced without emitting — only the engine-shaped
+        ``collector.absorb.*`` marks are recorded, and those carry a
+        merge-only prefix (see :func:`repro.telemetry.comparable_view`).
         """
         records = sessions.to_records()
         self.sessions.extend(records)
         self._seen_ids.update(sessions.session_ids())
         dead = dead_letters.to_records()
         self.dead_letters.extend(dead)
-        self._absorb_bookkeeping(len(records), len(dead), counters)
-
-    def _absorb_bookkeeping(
-        self, absorbed: int, dead: int, counters: dict[str, int]
-    ) -> None:
-        """Merge-only telemetry + counter sums shared by both absorb paths.
-
-        The shard's own registry already counted every per-record effect
-        (and is merged separately by the engine), so the snapshot is
-        advanced without emitting — only the engine-shaped
-        ``collector.absorb.*`` marks are recorded, and those carry a
-        merge-only prefix (see :func:`repro.telemetry.comparable_view`).
-        """
         registry = telemetry.active()
         if registry is not None:
             registry.count("collector.absorb.batches")
-            registry.count("collector.absorb.sessions", absorbed)
-            registry.count("collector.absorb.dead_letters", dead)
-        self.generated += counters.get("generated", 0)
-        self.dropped_outage += counters.get("dropped_outage", 0)
-        self.dropped_sensor_down += counters.get("dropped_sensor_down", 0)
-        self.retried += counters.get("retried", 0)
-        self.deduplicated += counters.get("deduplicated", 0)
-        self.dead_lettered += counters.get("dead_lettered", 0)
-        self.quarantined += counters.get("quarantined", 0)
-        self.admitted += counters.get("admitted", 0)
-        self.shed += counters.get("shed", 0)
-        self.deferred += counters.get("deferred", 0)
+            registry.count("collector.absorb.sessions", len(records))
+            registry.count("collector.absorb.dead_letters", len(dead))
+        for key in self.COUNTERS:
+            setattr(self, key, getattr(self, key) + counters.get(key, 0))
         self._mark_telemetry_flushed()
 
     def restore(
@@ -366,16 +342,8 @@ class Collector:
         self.sessions = list(sessions)
         self.dead_letters = list(dead_letters)
         self._seen_ids = {record.session_id for record in self.sessions}
-        self.generated = counters.get("generated", 0)
-        self.dropped_outage = counters.get("dropped_outage", 0)
-        self.dropped_sensor_down = counters.get("dropped_sensor_down", 0)
-        self.retried = counters.get("retried", 0)
-        self.deduplicated = counters.get("deduplicated", 0)
-        self.dead_lettered = counters.get("dead_lettered", 0)
-        self.quarantined = counters.get("quarantined", 0)
-        self.admitted = counters.get("admitted", 0)
-        self.shed = counters.get("shed", 0)
-        self.deferred = counters.get("deferred", 0)
+        for key in self.COUNTERS:
+            setattr(self, key, counters.get(key, 0))
         # Restored counters were already emitted by the run that wrote
         # the checkpoint; re-seed the snapshot so they aren't re-counted.
         self._flushed = {}

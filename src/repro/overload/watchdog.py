@@ -1,16 +1,16 @@
 """Shard deadlines for the hung-worker watchdog.
 
 A crashed worker announces itself; a *hung* worker just stops.  The
-parallel engine's defence is a pair of per-shard deadlines derived from
-one configured hard limit:
+shard producer's defence is a pair of deadlines on every pool attempt,
+derived from one configured hard limit:
 
 * **soft** (``soft_fraction`` of the hard limit) — the watchdog notes
   the breach (``overload.watchdog.soft_breaches``) and keeps waiting; a
   slow shard is not yet a dead shard.
 * **hard** — the watchdog cancels the attempt, counts the breach, and
   feeds the shard to the same bounded-retry → serial-fallback ladder
-  that salvages crashed shards.  A hung shard therefore never blocks
-  the run past its hard deadline.
+  that salvages crashed shards.  A hung pool attempt therefore never
+  blocks the run past its hard deadline.
 
 The deadline is an *execution* knob like the worker count: it can
 change which code path produced a record batch, never the bytes in it,

@@ -1,10 +1,14 @@
-"""Sharded, digest-identical execution of the simulation day-loop.
+"""The process pool as a producer of shard results for the run loop.
 
-The serial orchestrator walks the window one day at a time; this engine
-partitions the same window into contiguous shards
-(:mod:`repro.parallel.shards`) and simulates them on a
-``ProcessPoolExecutor``.  Equivalence rests on three properties the
-codebase already guarantees:
+There is one run loop: the stream engine's
+(:meth:`repro.stream.engine.StreamSubstrate.run`).  With ``workers > 1``
+under the replay policy it takes one step per shard instead of one per
+day, and this module produces those shards: it partitions the window
+into contiguous shards (:mod:`repro.parallel.shards`), simulates them
+on a ``ProcessPoolExecutor`` and hands each result back in shard order.
+Resume, the checkpoint cadence, ``stop_after`` and the result all stay
+with the run loop.  Equivalence with the serial day steps rests on
+three properties the codebase already guarantees:
 
 * **Per-day purity** — every random stream a day consumes is keyed by
   ``(component, bot, date)`` paths under the master seed (the property
@@ -21,41 +25,37 @@ codebase already guarantees:
 * **Order-independent delivery** — transport faults are keyed by
   session id and collector accounting is a sum of per-record effects,
   so shard-local collectors merged in shard order reproduce the serial
-  collector byte for byte (:meth:`repro.honeynet.collector.Collector.absorb`
-  / :meth:`~repro.honeynet.collector.Collector.absorb_batch`).
+  collector byte for byte
+  (:meth:`repro.honeynet.collector.Collector.absorb_batch`).
 
 Shard results cross the process boundary as compact column buffers
-(:mod:`repro.honeynet.columnar`) — the only IPC format: the worker
-encodes its record lists into a :class:`ColumnBatch` whose pickle is a
-handful of flat numpy/bytes buffers, and the parent decodes with a
-vectorized bulk-ingest.  The encode→decode round-trip is proven an
-identity by the codec property suite (``tests/test_columnar.py``), so
-the merged digest cannot move.
+(:mod:`repro.honeynet.columnar`): the worker encodes its record lists
+into a :class:`ColumnBatch` whose pickle is a handful of flat
+numpy/bytes buffers, and the parent decodes with a vectorized
+bulk-ingest.  The encode→decode round-trip is proven an identity by the
+codec property suite (``tests/test_columnar.py``), so the merged digest
+cannot move.
 
-Checkpoints are written at shard boundaries with the same format as the
-serial engine, so serial and parallel runs can resume each other's
-checkpoints interchangeably.
-
-The engine is also *crash-tolerant*: a shard worker that dies mid-run
+The producer is *crash-tolerant*: a shard worker that dies mid-run
 (injected :class:`~repro.faults.corruption.WorkerCrash`, or a real
 worker death breaking the pool) loses only its task-local output — the
-parent deterministically re-executes the shard, and after
-:data:`MAX_SHARD_ATTEMPTS` failed attempts falls back to running the
-shard serially in-process.  Because every attempt presets the honeypot
-counters absolutely and uses the same day streams, the recovered output
-is byte-identical, so digest equality with the serial engine holds
-under every crash schedule.
+parent deterministically re-submits the shard, and after
+:data:`MAX_SHARD_ATTEMPTS` failed attempts gives up on the pool for
+that shard: the run loop then simulates the shard's days in the parent
+with the serial day step.  Every attempt presets the honeypot counters
+absolutely and uses the same day streams, so the recovered output is
+byte-identical under every crash schedule.
 
 Crashes announce themselves; *hangs* do not.  With
 ``config.shard_deadline_s`` set, a hung-worker watchdog guards every
-shard attempt with soft/hard deadlines
-(:class:`~repro.overload.watchdog.DeadlinePolicy`): a shard past its
+pool attempt with soft/hard deadlines
+(:class:`~repro.overload.watchdog.DeadlinePolicy`): an attempt past its
 soft deadline is logged and counted, one past its hard deadline is
-cancelled and fed into the same retry → serial-fallback ladder, so an
-injected :class:`~repro.faults.corruption.WorkerHang` (or a real stall)
-never blocks the run past the hard deadline.  The deadline, like the
-worker count, can only change which code path produced a batch — never
-its bytes.
+cancelled and fed into the same retry ladder, so an injected
+:class:`~repro.faults.corruption.WorkerHang` (or a real stall) never
+blocks the run past the hard deadline.  The deadline, like the worker
+count, can only change which code path produced a shard — never its
+bytes.
 """
 
 from __future__ import annotations
@@ -68,20 +68,15 @@ from concurrent.futures import TimeoutError as FutureTimeout
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import asdict, dataclass
 from datetime import date
-from pathlib import Path
+from typing import Iterator
 
 from repro.attackers.orchestrator import (
-    DEFAULT_CHECKPOINT_EVERY_DAYS,
-    SimulationResult,
     SimulationSubstrate,
-    _resume_state,
     build_substrate,
     count_day,
     simulate_day,
-    _finish_result,
 )
 from repro.config import SimulationConfig
-from repro.faults.checkpoint import save_checkpoint
 from repro.faults.corruption import (
     WorkerCrash,
     WorkerHang,
@@ -89,7 +84,6 @@ from repro.faults.corruption import (
     hang_point,
 )
 from repro.honeynet.columnar import ColumnBatch
-from repro.honeypot.session import SessionRecord
 from repro.overload.watchdog import DeadlinePolicy, ShardDeadlineExceeded
 from repro.parallel.shards import Shard, plan_shards
 from repro import telemetry
@@ -97,43 +91,22 @@ from repro.util.timeutils import days_between
 
 logger = logging.getLogger("repro.parallel")
 
-#: Collector counter names merged across shards (mirrors the
-#: checkpoint serialization so the two stay in sync).
-COUNTER_KEYS = (
-    "generated",
-    "dropped_outage",
-    "dropped_sensor_down",
-    "retried",
-    "deduplicated",
-    "dead_lettered",
-    "quarantined",
-    "admitted",
-    "shed",
-    "deferred",
-)
-
 #: Worker attempts per shard before the parent gives up on the pool and
-#: re-executes the shard serially in-process.
+#: the run loop simulates the shard's days itself.
 MAX_SHARD_ATTEMPTS = 3
 
 
 @dataclass
 class ShardOutput:
-    """Everything one fully simulated shard sends back to the parent.
-
-    ``sessions``/``dead_letters`` are :class:`ColumnBatch` column
-    buffers from pool workers and plain record lists from the in-parent
-    serial fallback (where there is no IPC to compress); the merge loop
-    dispatches on the payload type.
-    """
+    """Everything one fully simulated shard sends back to the parent."""
 
     index: int
-    sessions: "list[SessionRecord] | ColumnBatch"
-    dead_letters: "list[SessionRecord] | ColumnBatch"
+    sessions: ColumnBatch
+    dead_letters: ColumnBatch
     counters: dict[str, int]
     channel_stats: dict[str, float]
-    #: Per-honeypot sessions handled inside this shard (counter deltas).
-    handled: dict[str, int]
+    #: Per-honeypot session counters at the end of the shard.
+    honeypot_counters: dict[str, int]
     #: Shard-local telemetry registry export (None when telemetry is
     #: disabled); merged into the parent registry in shard order.
     telemetry: dict | None = None
@@ -156,8 +129,8 @@ class ShardOutput:
 _WORKER_ARGS: tuple | None = None
 _WORKER_SUBSTRATE: SimulationSubstrate | None = None
 _WORKER_TELEMETRY: bool = False
-#: Set (then cleared) by :func:`run_simulation_parallel` around pool
-#: creation so fork-children inherit the already-built substrate.
+#: Set (then cleared) by :func:`produce_shards` around the pool's life
+#: so fork-children inherit the already-built substrate.
 _PARENT_SUBSTRATE: SimulationSubstrate | None = None
 
 
@@ -259,14 +232,6 @@ def _run_shard(
     if registry is not None:
         telemetry.disable()
         telemetry_export = registry.export()
-    handled = {
-        honeypot.honeypot_id: delta
-        for honeypot in substrate.honeynet.honeypots
-        if (
-            delta := honeypot._counter
-            - base_counters.get(honeypot.honeypot_id, 0)
-        )
-    }
     # Encode on the worker side so the expensive part of IPC — the
     # per-record pickling of object graphs — becomes a handful of
     # flat buffer pickles, and the encode cost itself parallelizes.
@@ -276,9 +241,9 @@ def _run_shard(
         index=index,
         sessions=sessions,
         dead_letters=dead_letters,
-        counters={key: getattr(collector, key) for key in COUNTER_KEYS},
+        counters=collector.counters(),
         channel_stats=asdict(channel.stats),
-        handled=handled,
+        honeypot_counters=substrate.honeypot_counters(),
         telemetry=telemetry_export,
     )
 
@@ -306,87 +271,6 @@ def _submit(pool: ProcessPoolExecutor, fn, arg) -> Future | None:
         return pool.submit(fn, arg)
     except (BrokenProcessPool, RuntimeError):
         return None
-
-
-def _execute_shard(
-    substrate: SimulationSubstrate,
-    task: tuple[int, str, str, dict[str, int]],
-    deadline: DeadlinePolicy | None = None,
-) -> ShardOutput:
-    """Serial in-process fallback: run one shard on the parent substrate.
-
-    Crash-free by construction (no crash hook on this path) and
-    byte-identical to what a healthy worker would have returned — the
-    same :func:`simulate_day` over the same days with the same preset
-    counters.  The *hang* fault does fire here (a stall models lost
-    time, not a death, so it cannot corrupt in-process state): the
-    fallback sleeps the stall out — capped at the remaining deadline —
-    and with a deadline set the hard limit still binds, raising
-    :class:`ShardDeadlineExceeded` rather than blocking the run.  There
-    is no further ladder below the fallback, so that raise is terminal
-    by design: a hard deadline is a promise, not a hint.
-
-    Telemetry records straight into the parent registry, so
-    ``telemetry=None`` in the output (nothing to merge twice).  The
-    parent's honeypot counters are overwritten absolutely by the merge
-    loop afterwards, so mutating them here is safe.
-    """
-    index, start_iso, end_iso, base_counters = task
-    days = list(
-        days_between(date.fromisoformat(start_iso), date.fromisoformat(end_iso))
-    )
-    hang = hang_point(
-        substrate.config.faults.integrity,
-        substrate.config.seed,
-        index,
-        MAX_SHARD_ATTEMPTS,
-        len(days),
-    )
-    deadline_at = (
-        time.monotonic() + deadline.hard_s if deadline is not None else None
-    )
-    substrate.set_honeypot_counters(base_counters)
-    collector = substrate.fresh_collector()
-    channel = substrate.fresh_channel(collector)
-    deliver = channel.deliver
-    for day_number, day in enumerate(days):
-        if hang is not None and day_number == hang[0]:
-            stall = hang[1]
-            if deadline_at is not None:
-                stall = min(stall, max(0.0, deadline_at - time.monotonic()))
-            time.sleep(stall)
-            telemetry.count("overload.watchdog.fallback_stalls")
-            logger.warning(
-                "shard %d stalled %.2fs during serial fallback",
-                index, stall,
-            )
-        if deadline_at is not None and time.monotonic() >= deadline_at:
-            telemetry.count("overload.watchdog.hard_breaches")
-            raise ShardDeadlineExceeded(
-                f"serial fallback for shard {index} overran its "
-                f"{deadline.hard_s:.2f}s hard deadline"
-            )
-        with telemetry.span("sim.day"):
-            simulate_day(substrate, day, deliver)
-        collector.end_of_day()
-        channel.flush_telemetry()
-    handled = {
-        honeypot.honeypot_id: delta
-        for honeypot in substrate.honeynet.honeypots
-        if (
-            delta := honeypot._counter
-            - base_counters.get(honeypot.honeypot_id, 0)
-        )
-    }
-    return ShardOutput(
-        index=index,
-        sessions=collector.sessions,
-        dead_letters=collector.dead_letters,
-        counters={key: getattr(collector, key) for key in COUNTER_KEYS},
-        channel_stats=asdict(channel.stats),
-        handled=handled,
-        telemetry=None,
-    )
 
 
 def _await_shard(
@@ -425,33 +309,35 @@ def _await_shard(
 
 def _settle_shard(
     pool: ProcessPoolExecutor,
-    substrate: SimulationSubstrate,
     shard: Shard,
     task: tuple[int, str, str, dict[str, int], int],
     future: Future | None,
     deadline: DeadlinePolicy | None = None,
-) -> ShardOutput:
+) -> ShardOutput | None:
     """Resolve one shard's output, surviving crashed and hung workers.
 
     An attempt that dies with :class:`WorkerCrash` or
     :class:`WorkerHang` (injected), or that the watchdog cancelled at
     its hard deadline, is re-submitted — deterministic re-execution,
     byte-identical output — up to :data:`MAX_SHARD_ATTEMPTS` total
-    attempts; after that, or when the pool itself breaks (a real worker
-    death), the shard is re-run serially in the parent.  Every path
-    returns the same bytes, so digest equality with the serial engine
-    holds under every crash/hang schedule.
+    attempts.  After that, or when the pool itself breaks (a real worker
+    death), returns ``None``: the run loop then simulates the shard's
+    days in the parent with the serial day step, which yields the same
+    bytes, so digest equality with the serial engine holds under every
+    crash/hang schedule.
     """
     attempt = 1
     while future is not None:
         try:
             return _await_shard(future, deadline, shard)
-        except (WorkerCrash, WorkerHang) as error:
+        except (WorkerCrash, WorkerHang, ShardDeadlineExceeded) as error:
             if isinstance(error, WorkerHang):
                 telemetry.count("parallel.worker_hangs")
-            else:
+            elif isinstance(error, WorkerCrash):
                 telemetry.count("parallel.worker_crashes")
-            logger.warning("shard %d worker died: %s", shard.index, error)
+            logger.warning(
+                "shard %d attempt %d failed: %s", shard.index, attempt, error
+            )
             if attempt >= MAX_SHARD_ATTEMPTS:
                 logger.warning(
                     "shard %d failed %d times; giving up on the pool",
@@ -465,20 +351,6 @@ def _settle_shard(
             )
             future = _submit(pool, _run_shard, task[:4] + (attempt,))
             attempt += 1
-        except ShardDeadlineExceeded as error:
-            logger.warning(
-                "shard %d cancelled by the watchdog: %s", shard.index, error
-            )
-            if attempt >= MAX_SHARD_ATTEMPTS:
-                logger.warning(
-                    "shard %d breached its deadline %d times; giving up "
-                    "on the pool",
-                    shard.index, attempt,
-                )
-                break
-            telemetry.count("parallel.shard_retries")
-            future = _submit(pool, _run_shard, task[:4] + (attempt,))
-            attempt += 1
         except BrokenProcessPool as error:
             telemetry.count("parallel.pool_failures")
             logger.error(
@@ -489,8 +361,7 @@ def _settle_shard(
     logger.warning(
         "shard %d: falling back to serial in-process execution", shard.index
     )
-    with telemetry.span("parallel.serial_fallback"):
-        return _execute_shard(substrate, task[:4], deadline)
+    return None
 
 
 def _settle_counts(
@@ -513,80 +384,32 @@ def _settle_counts(
     return counts
 
 
-def run_simulation_parallel(
-    config: SimulationConfig,
-    extra_bots_factory=None,
-    *,
-    workers: int,
-    checkpoint_path: Path | str | None = None,
-    checkpoint_every_days: int | None = None,
-    resume: bool = False,
-    stop_after: date | None = None,
-) -> SimulationResult:
-    """Sharded :func:`~repro.attackers.orchestrator.run_simulation`.
+def produce_shards(
+    substrate: SimulationSubstrate, first_day: date, last_day: date
+) -> Iterator[tuple[Shard, dict[str, int], ShardOutput | None]]:
+    """Simulate ``[first_day, last_day]`` on a pool of ``config.workers``
+    processes.
 
-    Same contract and same output digest as the serial engine for every
-    fault profile; only wall-clock differs.  Called via
-    ``run_simulation(..., workers=N)`` rather than directly.
+    Yields ``(shard, counters, output)`` in shard order: ``counters``
+    are the honeypot session counters the shard starts from, and
+    ``output`` is the shard's result, or ``None`` when the pool gave up
+    on it (:func:`_settle_shard`).  The substrate's honeypot counters
+    are the starting point of the first shard; the pool lives, under
+    the ``parallel.run`` span, until the last shard is yielded.
     """
-    if workers < 2:
-        raise ValueError("run_simulation_parallel requires workers >= 2")
-    substrate = build_substrate(config, extra_bots_factory)
-    collector = substrate.fresh_collector()
-    honeynet = substrate.honeynet
-
-    first_day = config.start
-    if resume:
-        stream_sink: list[dict] = []
-        restored = _resume_state(
-            checkpoint_path, config, honeynet, collector,
-            stream_sink=stream_sink,
-        )
-        if stream_sink:
-            raise ValueError(
-                "checkpoint records a degraded stream supervision state, "
-                "which the parallel batch engine cannot reproduce; resume "
-                "it with the supervised stream engine instead"
-            )
-        if restored is not None:
-            first_day = restored
-    corruptor = None
-    if checkpoint_path is not None:
-        corruptor = substrate.checkpoint_corruptor()
-        if checkpoint_every_days is None:
-            checkpoint_every_days = DEFAULT_CHECKPOINT_EVERY_DAYS
-
-    # The serial loop checks ``day >= stop_after`` after simulating, so
-    # a stop_after before the resume cursor still simulates one day.
-    last_day = config.end
-    stopping = False
-    if stop_after is not None and first_day <= config.end:
-        last_day = min(config.end, max(stop_after, first_day))
-        stopping = last_day >= stop_after
-
-    started = time.monotonic()
+    workers = substrate.config.workers
     shards = plan_shards(first_day, last_day, workers)
-    channel = substrate.fresh_channel(collector)
-    deadline = DeadlinePolicy.from_deadline(config.shard_deadline_s)
     if not shards:
-        return _finish_result(substrate, collector, channel, started)
-
+        return
     logger.info(
-        "simulating %s..%s across %d shards on %d workers "
-        "(fault profile: %s)",
-        first_day, last_day, len(shards), workers, config.faults.name,
+        "sharding %s..%s into %d shards on %d workers",
+        first_day, last_day, len(shards), workers,
     )
-
-    base_counters = dict(substrate.honeypot_counters())
-    merged_stats = channel.stats
-    cumulative = dict(base_counters)
-    days_since_checkpoint = 0
-    last_saved: date | None = None
-
-    parent_registry = telemetry.active()
-    if parent_registry is not None:
-        parent_registry.gauge("parallel.workers", workers)
-        parent_registry.count("parallel.shards", len(shards))
+    registry = telemetry.active()
+    if registry is not None:
+        registry.gauge("parallel.workers", workers)
+        registry.count("parallel.shards", len(shards))
+    deadline = DeadlinePolicy.from_deadline(substrate.config.shard_deadline_s)
 
     global _PARENT_SUBSTRATE
     _PARENT_SUBSTRATE = substrate
@@ -596,9 +419,9 @@ def run_simulation_parallel(
             mp_context=pool_context(),
             initializer=_init_worker,
             initargs=(
-                config,
-                extra_bots_factory,
-                parent_registry is not None,
+                substrate.config,
+                substrate.extra_bots_factory,
+                registry is not None,
             ),
         ) as pool:
             # Phase 1: count arrivals for every shard but the last (the
@@ -610,7 +433,7 @@ def run_simulation_parallel(
             # Phase 2: simulate each shard with prefix-summed counters.
             run_futures: list[Future | None] = []
             tasks: list[tuple[int, str, str, dict[str, int], int]] = []
-            offsets = dict(base_counters)
+            offsets = substrate.honeypot_counters()
             for shard in shards:
                 task = (shard.index, *shard.iso_span, dict(offsets), 0)
                 tasks.append(task)
@@ -622,59 +445,11 @@ def run_simulation_parallel(
                             substrate, shard, count_futures[shard.index]
                         ),
                     )
-            # Merge in shard order: concatenation reproduces the serial
-            # ingestion order, so the merged collector is byte-identical.
-            for shard, future in zip(shards, run_futures):
-                output: ShardOutput = _settle_shard(
-                    pool, substrate, shard, tasks[shard.index], future,
-                    deadline,
+            # Hand over in shard order: concatenation reproduces the
+            # serial ingestion order.
+            for shard, task, future in zip(shards, tasks, run_futures):
+                yield shard, task[3], _settle_shard(
+                    pool, shard, task, future, deadline
                 )
-                if isinstance(output.sessions, ColumnBatch):
-                    if parent_registry is not None:
-                        parent_registry.count(
-                            "parallel.ipc_columnar_bytes",
-                            output.sessions.nbytes
-                            + output.dead_letters.nbytes,
-                        )
-                    collector.absorb_batch(
-                        output.sessions, output.dead_letters, output.counters
-                    )
-                else:
-                    collector.absorb(
-                        output.sessions, output.dead_letters, output.counters
-                    )
-                if parent_registry is not None and output.telemetry is not None:
-                    parent_registry.merge_export(output.telemetry)
-                for key, value in output.channel_stats.items():
-                    setattr(
-                        merged_stats, key, getattr(merged_stats, key) + value
-                    )
-                # The folded deliveries were already counted (shard
-                # registry, or inline during serial fallback) — the
-                # parent channel's final flush must not re-emit them.
-                channel.mark_telemetry_flushed()
-                _add_counts(cumulative, output.handled)
-                days_since_checkpoint += shard.days
-                final_shard = shard.index == len(shards) - 1
-                if checkpoint_path is not None and (
-                    days_since_checkpoint >= checkpoint_every_days
-                    or (final_shard and stopping)
-                ):
-                    substrate.set_honeypot_counters(cumulative)
-                    save_checkpoint(
-                        checkpoint_path, config, shard.next_day,
-                        honeynet, collector, corruptor=corruptor,
-                    )
-                    telemetry.count("checkpoint.saves")
-                    days_since_checkpoint = 0
-                    last_saved = shard.end
-                    logger.debug("checkpointed through %s", shard.end)
     finally:
         _PARENT_SUBSTRATE = None
-
-    substrate.set_honeypot_counters(cumulative)
-    if stopping:
-        logger.info("controlled stop after %s", last_day)
-    if last_saved is not None:
-        logger.debug("last checkpoint covers through %s", last_saved)
-    return _finish_result(substrate, collector, channel, started)

@@ -191,12 +191,13 @@ class SnapshotPublisher:
 
 
 def publish_result(publisher: SnapshotPublisher, result) -> Snapshot:
-    """Publish one final snapshot of a finished run (batch or parallel).
+    """Publish one final snapshot of a finished run, at any worker count.
 
-    The parallel engine has no day-boundary hook in the parent — shards
-    simulate days remotely — so a service attached to a parallel run
-    serves the merged end state: one snapshot folded from the final
-    collector, published at the run's last day.
+    For a run that had no publisher attached: the service then serves
+    the end state, one snapshot folded from the final collector and
+    published at the run's last day.  (A publisher attached to the run
+    itself sees every loop step: each day, or each shard's last day
+    when a process pool produced the shards.)
     """
     snapshot = publisher.publish_day(
         result.collector,

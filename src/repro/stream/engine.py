@@ -19,14 +19,18 @@ backpressure into the admission controller, heartbeat monitoring on the
 crash recovery that resumes the stream — supervision state included —
 from the newest valid checkpoint generation.
 
-**Batch mode is a replay of the stream.**  ``run_simulation``'s serial
-engine calls :func:`run_stream` under :meth:`StreamPolicy.replay`; the
-day-boundary sequence (simulate → drain gate → flush telemetry →
-checkpoint cadence → stop check) is this module's loop, so there is
-exactly one code path.  On the fault-free path every push is pumped
-synchronously — queue depth never exceeds one, delivery order equals
-the batch loop's — which is why stream digests, accounting and
-checkpoint bytes are byte-identical to the batch engine
+**Batch mode is a replay of the stream.**  ``run_simulation`` calls
+:func:`run_stream` under :meth:`StreamPolicy.replay` at every worker
+count, and this module's run loop (resume → steps → publish →
+checkpoint cadence → stop → result) is the only one.  A step is either
+one serial day (simulate → drain gate → flush telemetry) or, with
+``workers > 1`` under replay, one shard that a process pool produced
+(:mod:`repro.parallel.engine`): the loop absorbs the shard's columnar
+output, or simulates the shard's days itself with the same day step
+when the pool gave up on it.  On the fault-free path every push is
+pumped synchronously — queue depth never exceeds one, delivery order
+equals the batch loop's — which is why stream digests, accounting and
+checkpoint bytes are byte-identical to batch runs
 (``tests/test_stream.py`` pins the matrix).
 
 All supervision timing runs on a *virtual* clock that advances a fixed
@@ -39,9 +43,11 @@ from __future__ import annotations
 
 import logging
 import time
+from contextlib import closing
 from dataclasses import dataclass, field
 from datetime import date, timedelta
 from pathlib import Path
+from typing import Iterator
 
 from repro import telemetry
 from repro.attackers.orchestrator import (
@@ -71,10 +77,10 @@ from repro.stream.supervisor import (
     ModeTransition,
     StreamSupervisor,
 )
-from repro.util.timeutils import days_between, month_key
+from repro.util.timeutils import days_between
 
 # The run loop's progress messages keep their historical logger name:
-# this module IS the serial simulation engine (batch = replay).
+# this module IS the simulation engine (batch = replay).
 logger = logging.getLogger("repro.simulation")
 
 
@@ -246,6 +252,11 @@ class StreamSubstrate:
                 from repro.analysis.online import OnlineClusterer
 
                 self.clusterer = OnlineClusterer()
+        #: Where the day step delivers each record: straight into the
+        #: transport under replay, through the supervised pipeline else.
+        self._deliver = (
+            self.channel.deliver if self.supervisor is None else self._push
+        )
         # virtual clock + per-day fault state
         self._tick = policy.tick_s
         self._now = 0.0
@@ -632,8 +643,75 @@ class StreamSubstrate:
         )
 
     # ------------------------------------------------------------------
-    # the run loop (the one code path: stream, and batch as its replay)
+    # the run loop (the one code path: stream, batch replay, and the
+    # sharded pool as a producer of its steps)
     # ------------------------------------------------------------------
+    def _day_step(self, day: date) -> None:
+        """The serial day step every run takes: simulate, drain, close."""
+        self._begin_day(day)
+        with telemetry.span("sim.day"):
+            simulate_day(self.base, day, self._deliver)
+            self._drain_day(day)
+        # Day boundary: release deferred records before any checkpoint
+        # — the deferral queues are intra-day state and are never
+        # serialized.
+        self.collector.end_of_day()
+        self.channel.flush_telemetry()
+        self._end_day(day)
+
+    def _day_steps(
+        self, first_day: date, last_day: date
+    ) -> Iterator[tuple[date, int]]:
+        """One step per day; yields ``(last day simulated, days)``."""
+        with telemetry.span("sim.run"):
+            if first_day > last_day:
+                return
+            for day in days_between(first_day, last_day):
+                self._day_step(day)
+                yield day, 1
+
+    def _shard_steps(
+        self, first_day: date, last_day: date
+    ) -> Iterator[tuple[date, int]]:
+        """One step per shard of the process pool's producer.
+
+        A step absorbs the shard's columnar output, or — when the pool
+        gave up on the shard — simulates its days here with
+        :meth:`_day_step`, from the counters the shard starts at.
+        """
+        from repro.parallel.engine import produce_shards
+
+        base = self.base
+        collector = self.collector
+        channel = self.channel
+        registry = telemetry.active()
+        for shard, counters, output in produce_shards(
+            base, first_day, last_day
+        ):
+            if output is None:
+                base.set_honeypot_counters(counters)
+                with telemetry.span("parallel.serial_fallback"):
+                    for day in days_between(shard.start, shard.end):
+                        self._day_step(day)
+            else:
+                if registry is not None:
+                    registry.count(
+                        "parallel.ipc_columnar_bytes",
+                        output.sessions.nbytes + output.dead_letters.nbytes,
+                    )
+                collector.absorb_batch(
+                    output.sessions, output.dead_letters, output.counters
+                )
+                if registry is not None and output.telemetry is not None:
+                    registry.merge_export(output.telemetry)
+                stats = channel.stats
+                for key, value in output.channel_stats.items():
+                    setattr(stats, key, getattr(stats, key) + value)
+                # The shard's registry already counted these deliveries.
+                channel.mark_telemetry_flushed()
+                base.set_honeypot_counters(output.honeypot_counters)
+            yield shard.end, shard.days
+
     def run(
         self,
         *,
@@ -645,69 +723,49 @@ class StreamSubstrate:
         base = self.base
         config = base.config
         collector = self.collector
-        channel = self.channel
         honeynet = base.honeynet
 
         first_day = config.start
         if resume:
-            stream_sink: list[dict] = []
-            restored = _resume_state(
-                checkpoint_path, config, honeynet, collector,
-                stream_sink=stream_sink,
+            restored, stream_state = _resume_state(
+                checkpoint_path, config, honeynet, collector
             )
             if restored is not None:
                 first_day = restored
-            if stream_sink:
+            if stream_state is not None:
                 if self.supervisor is None:
                     raise ValueError(
                         "checkpoint records a degraded stream state; resume "
                         "it with a supervised stream policy, not batch replay"
                     )
-                self._restore_stream_state(stream_sink[0])
+                self._restore_stream_state(stream_state)
         corruptor = None
         if checkpoint_path is not None:
             corruptor = base.checkpoint_corruptor()
             if checkpoint_every_days is None:
                 checkpoint_every_days = DEFAULT_CHECKPOINT_EVERY_DAYS
+        # A stop_after before the resume cursor still simulates one day.
+        last_day = config.end
+        if stop_after is not None:
+            last_day = min(config.end, max(stop_after, first_day))
 
         started = time.monotonic()
         logger.info(
             "simulating %s..%s at scale=%g with %d bots on %d honeypots "
             "(fault profile: %s)",
-            first_day, config.end, config.scale, len(base.bots),
+            first_day, last_day, config.scale, len(base.bots),
             len(honeynet.honeypots), config.faults.name,
         )
-
-        deliver = (
-            channel.deliver if self.supervisor is None else self._push
-        )
-        current_month: str | None = None
-        days_done = 0
-        days = (
-            days_between(first_day, config.end)
-            if first_day <= config.end
-            else iter(())
-        )
-        with telemetry.span("sim.run"):
-            for day in days:
-                month = month_key(day)
-                if month != current_month:
-                    if current_month is not None:
-                        logger.debug(
-                            "month %s done (%d sessions so far)",
-                            current_month, len(collector.sessions),
-                        )
-                    current_month = month
-                self._begin_day(day)
-                with telemetry.span("sim.day"):
-                    simulate_day(base, day, deliver)
-                    self._drain_day(day)
-                # Day boundary: release deferred records before any
-                # checkpoint below — the deferral queues are intra-day
-                # state and are never serialized.
-                collector.end_of_day()
-                channel.flush_telemetry()
-                self._end_day(day)
+        if config.workers > 1 and self.supervisor is None:
+            steps = self._shard_steps(first_day, last_day)
+        else:
+            steps = self._day_steps(first_day, last_day)
+        stopping = False
+        days_since_save = 0
+        # closing(): an error here must still end the steps' span (and
+        # shut the pool down) before it propagates.
+        with closing(steps):
+            for day, days in steps:
                 if self.publisher is not None:
                     self.publisher.publish_day(
                         collector,
@@ -719,10 +777,10 @@ class StreamSubstrate:
                             else None
                         ),
                     )
-                days_done += 1
+                days_since_save += days
                 stopping = stop_after is not None and day >= stop_after
                 if checkpoint_path is not None and (
-                    stopping or days_done % checkpoint_every_days == 0
+                    stopping or days_since_save >= checkpoint_every_days
                 ):
                     save_checkpoint(
                         checkpoint_path, config, day + timedelta(days=1),
@@ -730,12 +788,12 @@ class StreamSubstrate:
                         stream_state=self._stream_state(),
                     )
                     telemetry.count("checkpoint.saves")
+                    days_since_save = 0
                     logger.debug("checkpointed through %s", day)
-                if stopping:
-                    logger.info("controlled stop after %s", day)
-                    break
+        if stopping:
+            logger.info("controlled stop after %s", last_day)
 
-        result = _finish_result(base, collector, channel, started)
+        result = _finish_result(base, collector, self.channel, started)
         if self.supervisor is not None:
             result.stream = self._report()
         return result
@@ -756,13 +814,17 @@ def run_stream(
     """Run ``config`` through the (optionally supervised) stream engine.
 
     With ``policy=None`` (or :meth:`StreamPolicy.replay`) this *is* the
-    batch serial engine — ``run_simulation(workers=1)`` delegates here.
-    A supervised policy adds the robustness layer; a supervised
+    batch engine — ``run_simulation`` delegates here at every worker
+    count.  ``config.workers > 1`` has a process pool simulate
+    contiguous shards (:mod:`repro.parallel.engine`) and the loop takes
+    one step per shard; supervised policies always take serial day
+    steps.  A
+    supervised policy adds the robustness layer; a supervised
     fault-free policy still produces byte-identical digests, accounting
     and checkpoints.  Supervised results carry a :class:`StreamReport`
     on ``result.stream``.  ``publisher`` (a
-    :class:`repro.service.SnapshotPublisher`) receives every day
-    boundary; it observes, never mutates, so attaching one is
+    :class:`repro.service.SnapshotPublisher`) receives every step's
+    last day; it observes, never mutates, so attaching one is
     digest-neutral.
     """
     if policy is None:

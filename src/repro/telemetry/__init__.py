@@ -23,9 +23,9 @@ Design constraints (enforced by ``tests/test_telemetry.py``):
   checks one module global and returns; ``span()`` hands back a shared
   no-op context manager.
 * **Mergeable.**  Shard workers record into shard-local registries
-  which the parallel engine merges in shard order (mirroring
-  ``Collector.absorb``), so counters and histograms equal the serial
-  run's exactly.  Metrics that only exist because of the parallel
+  which the run loop merges in shard order (mirroring
+  ``Collector.absorb_batch``), so counters and histograms equal the
+  serial run's exactly.  Metrics that only exist because of the parallel
   machinery itself live under the ``parallel.`` and
   ``collector.absorb.`` prefixes and are excluded from that
   equivalence (see :func:`comparable_view`).

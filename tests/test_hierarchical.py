@@ -95,13 +95,14 @@ class TestFlowGraph:
         graph = flow_graph(flows)
         assert graph["client:ISP/NSP"]["storage:Hosting"]["weight"] == 12
         assert graph["client:ISP/NSP"]["storage:Hosting"]["same_ip"] == 2
-        assert graph.number_of_edges() == 2
+        assert sum(len(targets) for targets in graph.values()) == 2
 
     def test_bipartite(self):
         flows = Counter({("ISP/NSP", "Hosting", False): 1})
         graph = flow_graph(flows)
-        assert all(node.startswith("client:") or node.startswith("storage:")
-                   for node in graph.nodes)
+        assert all(source.startswith("client:") for source in graph)
+        assert all(target.startswith("storage:")
+                   for targets in graph.values() for target in targets)
 
 
 class TestBaselineExperiment:

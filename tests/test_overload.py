@@ -9,15 +9,14 @@ Three layers of coverage:
   is switched *off* must leave every pre-overload byte (digest,
   fingerprint, checkpoint counters section) untouched;
 * watchdog — injected hangs are survived via the retry → serial
-  fallback ladder, and a hard deadline is honoured even when the
-  fallback itself stalls.
+  fallback ladder, and the watchdog cancels pool attempts at their
+  hard deadline.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import json
-import time
 from datetime import date
 
 import pytest
@@ -44,7 +43,7 @@ from repro.overload.admission import (
     build_admission_controller,
     record_priority,
 )
-from repro.overload.watchdog import DeadlinePolicy, ShardDeadlineExceeded
+from repro.overload.watchdog import DeadlinePolicy
 from repro.util.rng import RngTree
 from tests.conftest import make_record, short_fault_config
 
@@ -476,24 +475,6 @@ class TestWatchdog:
         counters = registry.export()["counters"]
         assert counters["parallel.worker_hangs"] >= 1
         assert counters["parallel.serial_fallbacks"] >= 1
-
-    def test_hang_during_serial_fallback_hard_deadline_still_fires(self):
-        """The fallback is below the ladder: its hard breach is terminal."""
-        from repro import telemetry
-
-        config = hang_config(hang_seconds=1.5, shard_deadline_s=0.4)
-        started = time.monotonic()
-        with telemetry.collecting() as registry:
-            with pytest.raises(ShardDeadlineExceeded):
-                run_simulation(config, workers=2)
-        elapsed = time.monotonic() - started
-        # 3 pooled attempts + the fallback, each bounded by the 0.4s
-        # hard deadline, plus pool startup/teardown — nowhere near the
-        # 1.5s-per-attempt the stalls would cost unsupervised.
-        assert elapsed < 30.0
-        counters = registry.export()["counters"]
-        assert counters["overload.watchdog.soft_breaches"] >= 1
-        assert counters["overload.watchdog.hard_breaches"] >= 1
 
     def test_watchdog_cancels_hung_attempts(self):
         """With a deadline shorter than the stall, attempts are cancelled

@@ -187,6 +187,23 @@ class TestCheckpointResumeParallel:
             serial_baselines["stress"].database.digest()
         )
 
+    def test_stopped_run_checkpoint_bytes_match_across_workers(
+        self, tmp_path
+    ):
+        config = short_fault_config("paper")
+        newest = {}
+        for workers in (1, 2):
+            checkpoint = tmp_path / f"w{workers}" / "run.ckpt"
+            run_simulation(
+                config,
+                workers=workers,
+                checkpoint_path=checkpoint,
+                checkpoint_every_days=7,
+                stop_after=self.STOP,
+            )
+            newest[workers] = checkpoint.read_bytes()
+        assert newest[1] == newest[2]
+
     def test_parallel_resume_without_file_starts_fresh(
         self, tmp_path, serial_baselines
     ):

@@ -298,23 +298,14 @@ class TestStreamInterruptResume:
         assert loaded is not None and loaded.stream is not None
         return ckpt
 
+    @pytest.mark.parametrize("workers", [1, 2])
     def test_batch_replay_refuses_degraded_checkpoint(
-        self, degraded_checkpoint
+        self, degraded_checkpoint, workers
     ):
         with pytest.raises(ValueError, match="degraded stream state"):
             run_simulation(
                 chaos_config(),
-                checkpoint_path=degraded_checkpoint,
-                resume=True,
-            )
-
-    def test_parallel_engine_refuses_degraded_checkpoint(
-        self, degraded_checkpoint
-    ):
-        with pytest.raises(ValueError, match="parallel batch engine"):
-            run_simulation(
-                chaos_config(),
-                workers=2,
+                workers=workers,
                 checkpoint_path=degraded_checkpoint,
                 resume=True,
             )
