@@ -292,14 +292,9 @@ def simulate_day(
 
     This is *the* inner loop: the serial engine and every parallel
     shard worker call this exact function, so the record stream for a
-    given day is identical no matter which process produces it.
-
-    With the default ``include_telnet=True`` config the routing draws
-    are batched per (bot, day) via :func:`_route_draws`; excluding
-    telnet interleaves a protocol filter between the two route draws of
-    each session, so that configuration keeps the per-session loop.
+    given day is identical no matter which process produces it.  The
+    routing draws are batched per (bot, day) via :func:`_route_draws`.
     """
-    config = substrate.config
     honeypots = substrate.honeynet.honeypots
     fleet_size = len(honeypots)
     context = substrate.context
@@ -307,31 +302,18 @@ def simulate_day(
     ordinal = day.toordinal()
     produced = 0
     active_bots = 0
-    batch_routes = config.include_telnet
     for bot in substrate.bots:
         intents = bot.sessions_for_day(context, day)
         if not intents:
             continue
         active_bots += 1
         route_rng = context.tree.rand_for("route", bot.name, ordinal)
-        if batch_routes:
-            indices, seconds = _route_draws(
-                bot, route_rng, len(intents), fleet_size, day
-            )
-            for intent, index, start in zip(intents, indices, seconds):
-                deliver(honeypots[index].handle(intent, day_epoch + start))
-            produced += len(intents)
-            continue
-        for intent in intents:
-            honeypot = honeypots[
-                bot.choose_honeypot_index(route_rng, fleet_size)
-            ]
-            if intent.protocol.value == "telnet":
-                continue
-            when = day_epoch + bot.start_seconds(route_rng, day)
-            record = honeypot.handle(intent, when)
-            deliver(record)
-            produced += 1
+        indices, seconds = _route_draws(
+            bot, route_rng, len(intents), fleet_size, day
+        )
+        for intent, index, start in zip(intents, indices, seconds):
+            deliver(honeypots[index].handle(intent, day_epoch + start))
+        produced += len(intents)
     if substrate.flood is not None:
         # Injected scan-campaign arrivals ride the same delivery path as
         # bot traffic; their rng lives under the fault subtree, so they
@@ -363,21 +345,19 @@ def count_day(
     the shard producer (:mod:`repro.parallel.engine`) uses prefix sums
     of these to preset each shard's honeypot counters.
 
-    Fast path: when telnet is included (the default) the count is
-    independent of intent *contents*, so building intents is skipped
-    entirely — only the session-count draw and the batched route draws
-    are made (the ``intents`` subtree is an independent hash-derived
-    stream; not drawing it cannot perturb any other stream).  Bots that
+    Fast path: the count is independent of intent *contents*, so
+    building intents is skipped entirely — only the session-count draw
+    and the batched route draws are made (the ``intents`` subtree is an
+    independent hash-derived stream; not drawing it cannot perturb any
+    other stream).  Bots that
     override :meth:`Bot.sessions_for_day` fall back to the full loop.
     """
-    config = substrate.config
     honeypots = substrate.honeynet.honeypots
     fleet_size = len(honeypots)
     context = substrate.context
     ordinal = day.toordinal()
-    count_only = config.include_telnet
     for bot in substrate.bots:
-        if count_only and type(bot).sessions_for_day is Bot.sessions_for_day:
+        if type(bot).sessions_for_day is Bot.sessions_for_day:
             n = bot.session_count(context, day)
             if n == 0:
                 continue
@@ -399,8 +379,6 @@ def count_day(
         route_rng = context.tree.rand_for("route", bot.name, ordinal)
         for intent in intents:
             index = bot.choose_honeypot_index(route_rng, fleet_size)
-            if not config.include_telnet and intent.protocol.value == "telnet":
-                continue
             bot.start_seconds(route_rng, day)  # keep the stream aligned
             honeypot_id = honeypots[index].honeypot_id
             counts[honeypot_id] = counts.get(honeypot_id, 0) + 1

@@ -34,10 +34,9 @@ top of whatever fault profile is active; ``off`` (the default) is
 byte-identical to the pre-overload pipeline.  ``--workers N`` switches
 every stage that supports it to the parallel engine (see
 docs/parallelism.md); the output is identical at any N.
-``--shard-deadline-s S`` arms the hung-worker watchdog for parallel
-runs (soft warning at S/2, cancellation + retry at S).  ``--telemetry
-[PATH]`` collects metrics/spans for the run and writes them as JSON —
-purely observational, outputs are byte-identical with it on or off.
+``--telemetry [PATH]`` collects metrics/spans for the run and writes
+them as JSON — purely observational, outputs are byte-identical with
+it on or off.
 """
 
 from __future__ import annotations
@@ -81,14 +80,6 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
         "see docs/parallelism.md)",
     )
     parser.add_argument(
-        "--shard-deadline-s",
-        type=float,
-        default=None,
-        metavar="S",
-        help="hung-worker watchdog: hard wall-clock deadline per shard "
-        "attempt for parallel runs (default: no deadline)",
-    )
-    parser.add_argument(
         "--telemetry",
         type=Path,
         nargs="?",
@@ -114,7 +105,6 @@ def _config(args: argparse.Namespace) -> SimulationConfig:
         seed=args.seed,
         faults=faults,
         workers=getattr(args, "workers", 1),
-        shard_deadline_s=getattr(args, "shard_deadline_s", None),
     )
 
 
@@ -855,11 +845,9 @@ def cmd_bench(args: argparse.Namespace) -> int:
 
     # Flood scenario: the same window under the burst flood preset —
     # serial vs parallel (shed-path cost relative to the quiet runs
-    # above) and parallel again with the hung-worker watchdog armed, so
-    # the deadline plumbing's overhead on a healthy run is on record.
+    # above).
     import dataclasses as _dataclasses
 
-    flood_deadline_s = 120.0
     flood_config = config.replace(
         faults=_dataclasses.replace(
             config.faults, flood=FloodFaults.from_name("burst")
@@ -871,14 +859,8 @@ def cmd_bench(args: argparse.Namespace) -> int:
     flood_parallel, flood_parallel_s = best_of(
         lambda: run_simulation(flood_config, workers=workers), args.repeat
     )
-    watchdog_config = flood_config.replace(shard_deadline_s=flood_deadline_s)
-    flood_watchdog, flood_watchdog_s = best_of(
-        lambda: run_simulation(watchdog_config, workers=workers), args.repeat
-    )
-    flood_digest = flood_serial.database.digest()
     flood_match = (
-        flood_digest == flood_parallel.database.digest()
-        and flood_digest == flood_watchdog.database.digest()
+        flood_serial.database.digest() == flood_parallel.database.digest()
     )
     flood_accounting = flood_serial.collector.accounting()
     flood_generated = flood_accounting["generated"]
@@ -916,8 +898,6 @@ def cmd_bench(args: argparse.Namespace) -> int:
             "profile": "burst",
             "serial_s": round(flood_serial_s, 4),
             "parallel_s": round(flood_parallel_s, 4),
-            "watchdog_on_s": round(flood_watchdog_s, 4),
-            "watchdog_deadline_s": flood_deadline_s,
             "generated": flood_generated,
             "admitted": flood_accounting["admitted"],
             "deferred": flood_accounting["deferred"],
@@ -927,9 +907,6 @@ def cmd_bench(args: argparse.Namespace) -> int:
             ),
             "shed_path_overhead_pct": round(
                 (flood_serial_s / serial_day_s - 1.0) * 100, 2
-            ),
-            "watchdog_overhead_pct": round(
-                (flood_watchdog_s / flood_parallel_s - 1.0) * 100, 2
             ),
             "digest_match": flood_match,
         },
@@ -971,8 +948,7 @@ def cmd_bench(args: argparse.Namespace) -> int:
     )
     print(
         f"flood:      {flood_serial_s:.3f}s serial, "
-        f"{flood_parallel_s:.3f}s parallel, "
-        f"{flood_watchdog_s:.3f}s watchdog-on "
+        f"{flood_parallel_s:.3f}s parallel "
         f"({flood_accounting['shed']} shed of {flood_generated}, "
         f"digest match: {flood_match})"
     )

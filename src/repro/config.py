@@ -14,24 +14,13 @@ import dataclasses
 from dataclasses import dataclass, field
 from datetime import date
 
-from repro.faults.plan import (
-    PAPER_OUTAGE_END,
-    PAPER_OUTAGE_START,
-    FaultProfile,
-)
+from repro.faults.plan import FaultProfile
 from repro.honeypot.cowrie import DEFAULT_SESSION_TIMEOUT_S
 
 #: First day of the observation window (paper section 3.3).
 WINDOW_START = date(2021, 12, 1)
 #: Last day of the observation window (paper section 3.3).
 WINDOW_END = date(2024, 8, 31)
-
-#: The honeynet maintenance outage: no sessions recorded for 48 hours
-#: on October 8-9, 2023 (paper section 3.3).  Kept as module constants
-#: for backward compatibility; the canonical definition lives in
-#: :mod:`repro.faults.plan` and on ``FaultProfile.paper()``.
-OUTAGE_START = PAPER_OUTAGE_START
-OUTAGE_END = PAPER_OUTAGE_END
 
 
 @dataclass(frozen=True)
@@ -55,8 +44,6 @@ class SimulationConfig:
             sensor's own constant
             (:data:`repro.honeypot.cowrie.DEFAULT_SESSION_TIMEOUT_S`,
             three minutes) so config and sensor cannot drift.
-        include_telnet: also simulate the Telnet side of the honeynet
-            (the paper records it but analyses only SSH).
         faults: the fault-injection profile (see :mod:`repro.faults`).
             The default, ``FaultProfile.paper()``, models exactly the
             paper's deployment — only the October 2023 outage, no
@@ -71,12 +58,6 @@ class SimulationConfig:
             this knob trades wall-clock for cores, never correctness —
             it is deliberately excluded from checkpoint fingerprints
             and dataset cache keys.
-        shard_deadline_s: hard wall-clock deadline per shard attempt for
-            the parallel engine's hung-worker watchdog (``None`` — the
-            default — disables the watchdog).  An execution knob like
-            ``workers``: it can change which code path produced a batch
-            (cancel → retry → serial fallback), never the bytes in it,
-            so it too is excluded from fingerprints and cache keys.
     """
 
     seed: int = 7
@@ -87,10 +68,8 @@ class SimulationConfig:
     n_countries: int = 55
     n_honeypot_ases: int = 65
     session_timeout_s: float = DEFAULT_SESSION_TIMEOUT_S
-    include_telnet: bool = True
     faults: FaultProfile = field(default_factory=FaultProfile.paper)
     workers: int = 1
-    shard_deadline_s: float | None = None
 
     def __post_init__(self) -> None:
         if self.scale <= 0:
@@ -101,10 +80,6 @@ class SimulationConfig:
             raise ValueError("need at least one honeypot")
         if self.workers < 1:
             raise ValueError(f"workers must be at least 1, got {self.workers}")
-        if self.shard_deadline_s is not None and self.shard_deadline_s <= 0:
-            raise ValueError(
-                f"shard_deadline_s must be positive, got {self.shard_deadline_s}"
-            )
 
     def scaled(self, paper_count: float) -> float:
         """Return ``paper_count`` scaled to this configuration."""

@@ -206,7 +206,6 @@ def _cache_key(config: SimulationConfig) -> tuple:
         config.start,
         config.end,
         config.n_honeypots,
-        config.include_telnet,
         config.faults,
     )
 

@@ -51,12 +51,10 @@ from repro.faults.corruption import (
     INDEX_CORRUPTION_MODES,
     IndexCorruptor,
     WorkerCrash,
-    WorkerHang,
     build_checkpoint_corruptor,
     build_index_corruptor,
     build_log_corruptor,
     crash_point,
-    hang_point,
 )
 from repro.faults.coverage import (
     CoverageError,
@@ -112,7 +110,6 @@ __all__ = [
     "ServiceFaults",
     "TransportFaults",
     "WorkerCrash",
-    "WorkerHang",
     "audit_checkpoint",
     "build_channel",
     "build_checkpoint_corruptor",
@@ -125,7 +122,6 @@ __all__ = [
     "compile_tick_plan",
     "config_fingerprint",
     "crash_point",
-    "hang_point",
     "has_checkpoint",
     "integrity_note",
     "load_checkpoint",

@@ -96,13 +96,15 @@ def config_fingerprint(config: "SimulationConfig") -> str:
         "n_countries": config.n_countries,
         "n_honeypot_ases": config.n_honeypot_ases,
         "session_timeout_s": config.session_timeout_s,
-        "include_telnet": config.include_telnet,
+        # Telnet is always simulated; the key stays, pinned to its old
+        # default, so existing fingerprints and checkpoints stay valid.
+        "include_telnet": True,
         "faults": repr(config.faults),
     }
     # FloodFaults is declared repr=False on FaultProfile, so an inert
     # flood keeps the payload — and every pre-overload fingerprint —
     # unchanged; an active flood shapes the dataset and must mismatch.
-    # (workers and shard_deadline_s are execution knobs: excluded.)
+    # (workers is an execution knob: excluded.)
     if not config.faults.flood.inert:
         payload["flood"] = repr(config.faults.flood)
     return sha256_hex(json.dumps(payload, sort_keys=True))

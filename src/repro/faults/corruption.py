@@ -34,18 +34,6 @@ class WorkerCrash(RuntimeError):
     """
 
 
-class WorkerHang(RuntimeError):
-    """An injected shard-worker stall (simulated hung process).
-
-    The worker stops making progress for the fault's configured stall
-    time and then dies like a crash, freeing its pool slot.  The
-    shard producer treats the eventual death exactly like a
-    :class:`WorkerCrash`; with a shard deadline configured, the
-    hung-worker watchdog cancels the attempt at the hard deadline
-    instead of waiting the stall out.
-    """
-
-
 def crash_point(
     faults: IntegrityFaults | None,
     seed: int,
@@ -66,28 +54,6 @@ def crash_point(
     if rng.random() >= faults.worker_crash_probability:
         return None
     return rng.randrange(days)
-
-
-def hang_point(
-    faults: IntegrityFaults | None,
-    seed: int,
-    shard_index: int,
-    attempt: int,
-    days: int,
-) -> tuple[int, float] | None:
-    """Where (and for how long) attempt ``attempt`` of this shard stalls.
-
-    Returns ``(day index, stall seconds)``, or ``None`` when the attempt
-    keeps making progress.  Keyed by ``(shard, attempt)`` on a stream
-    independent of :func:`crash_point`, so hangs and crashes can be
-    co-scheduled on the same shard without perturbing each other.
-    """
-    if faults is None or faults.worker_hang_probability <= 0.0 or days <= 0:
-        return None
-    rng = RngTree(seed).child("faults", "integrity", "hang", shard_index, attempt).rand()
-    if rng.random() >= faults.worker_hang_probability:
-        return None
-    return rng.randrange(days), faults.worker_hang_seconds
 
 
 def _mangle_line(line: str, rng: random.Random) -> str:

@@ -227,14 +227,9 @@ class IntegrityFaults:
       restores the order losslessly.
     * ``worker_crash_probability`` — each parallel shard attempt dies
       mid-run with this probability (the engine retries, then falls
-      back to serial execution for that shard).
-    * ``worker_hang_probability`` — each parallel shard attempt *stalls*
-      mid-run with this probability: the worker stops making progress
-      for ``worker_hang_seconds`` and then dies like a crash.  With a
-      shard deadline configured
-      (:attr:`repro.config.SimulationConfig.shard_deadline_s`), the
-      hung-worker watchdog cancels the attempt at the hard deadline
-      instead of waiting the stall out.
+      back to serial execution for that shard).  Crashes are the only
+      injected shard failure: a stalled worker would end in the same
+      retry, only later.
     * ``index_corruption_probability`` — each built ``index.sqlite``
       artifact (:mod:`repro.store`) is damaged with this probability:
       a bit-flipped page, a truncated file, or rows silently dropped so
@@ -246,11 +241,10 @@ class IntegrityFaults:
     All decisions are drawn from seed-derived streams keyed by artifact
     and attempt, never from the simulation's record streams, so enabling
     corruption cannot change what a fault-free run would have produced.
-    The hang and index fields are declared ``repr=False``: a hang only
-    stalls the execution engine and index damage only degrades queries
-    to the scan path — the recovered output is byte-identical — so,
-    like the ``workers`` knob, they stay out of ``repr(profile)`` and
-    therefore out of checkpoint fingerprints.
+    The index field is declared ``repr=False``: index damage only
+    degrades queries to the scan path — the recovered output is
+    byte-identical — so, like the ``workers`` knob, it stays out of
+    ``repr(profile)`` and therefore out of checkpoint fingerprints.
     """
 
     checkpoint_corruption_probability: float = 0.0
@@ -258,8 +252,6 @@ class IntegrityFaults:
     line_duplicate_probability: float = 0.0
     line_reorder_probability: float = 0.0
     worker_crash_probability: float = 0.0
-    worker_hang_probability: float = field(default=0.0, repr=False)
-    worker_hang_seconds: float = field(default=0.05, repr=False)
     index_corruption_probability: float = field(default=0.0, repr=False)
 
     def __post_init__(self) -> None:
@@ -272,12 +264,11 @@ class IntegrityFaults:
             value = getattr(self, name)
             if not 0.0 <= value < 1.0:
                 raise ValueError(f"{name} must be in [0, 1), got {value}")
-        # A certain crash, hang or index corruption is a legitimate
-        # schedule — it forces the serial fallback / watchdog ladder /
-        # scan fallback every time — so these admit 1.0.
+        # A certain crash or index corruption is a legitimate schedule
+        # — it forces the serial fallback / scan fallback every time —
+        # so these admit 1.0.
         for name in (
             "worker_crash_probability",
-            "worker_hang_probability",
             "index_corruption_probability",
         ):
             value = getattr(self, name)
@@ -285,21 +276,18 @@ class IntegrityFaults:
                 raise ValueError(
                     f"{name} must be in [0, 1], got {value}"
                 )
-        if self.worker_hang_seconds < 0:
-            raise ValueError("worker_hang_seconds must be non-negative")
         if self.line_mangle_probability + self.line_duplicate_probability >= 1.0:
             raise ValueError("combined per-line corruption probability must be < 1")
 
     @property
     def inert(self) -> bool:
-        """True when no corruption, crash or hang can ever be injected."""
+        """True when no corruption or crash can ever be injected."""
         return (
             self.checkpoint_corruption_probability == 0.0
             and self.line_mangle_probability == 0.0
             and self.line_duplicate_probability == 0.0
             and self.line_reorder_probability == 0.0
             and self.worker_crash_probability == 0.0
-            and self.worker_hang_probability == 0.0
             and self.index_corruption_probability == 0.0
         )
 
@@ -384,11 +372,10 @@ class FaultProfile:
         *persisted*: one saved checkpoint in four is bit-flipped or
         truncated, a few percent of exported log lines are mangled,
         duplicated or reordered, one built artifact index in four is
-        damaged or desynced, and parallel shard workers crash or
-        briefly hang mid-run — exercising generation fallback,
-        quarantine-and-recover, the crash-tolerant engine, the
-        hung-worker watchdog ladder and the index scan-fallback on
-        every stress-profile test.
+        damaged or desynced, and one parallel shard attempt in five
+        crashes mid-run — exercising generation fallback,
+        quarantine-and-recover, the crash-tolerant engine and the index
+        scan-fallback on every stress-profile test.
         """
         return cls(
             name="stress",
@@ -410,8 +397,6 @@ class FaultProfile:
                 line_duplicate_probability=0.02,
                 line_reorder_probability=0.02,
                 worker_crash_probability=0.2,
-                worker_hang_probability=0.15,
-                worker_hang_seconds=0.05,
                 index_corruption_probability=0.25,
             ),
         )

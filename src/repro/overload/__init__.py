@@ -1,4 +1,4 @@
-"""Overload robustness: admission control, load shedding, watchdogs.
+"""Overload robustness: admission control, load shedding, rate limits.
 
 The collection pipeline survives *absence* faults (outages, churn),
 *transport* faults (loss, duplication) and *storage* faults (corruption,
@@ -10,10 +10,6 @@ crashes) — this package adds the fourth domain: **too much traffic**.
   first) and bounded per-sensor deferral queues, all accounted under
   the collector's conservation law (``admitted``/``shed``/``deferred``
   extend the ledger).
-* :mod:`repro.overload.watchdog` — per-shard soft/hard deadlines for
-  the parallel engine: a stalled worker is detected, cancelled at the
-  hard deadline, and salvaged through the bounded-retry → serial-
-  fallback ladder.
 * :mod:`repro.overload.tokenbucket` — per-client token buckets on the
   virtual clock, the rate-limiting rung of the query/status service's
   overload ladder (:mod:`repro.service`).
@@ -37,10 +33,6 @@ from repro.overload.tokenbucket import (
     ClientRateLimiter,
     TokenBucket,
 )
-from repro.overload.watchdog import (
-    DeadlinePolicy,
-    ShardDeadlineExceeded,
-)
 
 __all__ = [
     "ADMIT",
@@ -48,8 +40,6 @@ __all__ = [
     "SHED",
     "AdmissionController",
     "ClientRateLimiter",
-    "DeadlinePolicy",
-    "ShardDeadlineExceeded",
     "TokenBucket",
     "build_admission_controller",
     "record_priority",

@@ -44,27 +44,16 @@ parent deterministically re-submits the shard, and after
 that shard: the run loop then simulates the shard's days in the parent
 with the serial day step.  Every attempt presets the honeypot counters
 absolutely and uses the same day streams, so the recovered output is
-byte-identical under every crash schedule.
-
-Crashes announce themselves; *hangs* do not.  With
-``config.shard_deadline_s`` set, a hung-worker watchdog guards every
-pool attempt with soft/hard deadlines
-(:class:`~repro.overload.watchdog.DeadlinePolicy`): an attempt past its
-soft deadline is logged and counted, one past its hard deadline is
-cancelled and fed into the same retry ladder, so an injected
-:class:`~repro.faults.corruption.WorkerHang` (or a real stall) never
-blocks the run past the hard deadline.  The deadline, like the worker
-count, can only change which code path produced a shard — never its
-bytes.
+byte-identical under every crash schedule.  Crashes are the only
+injected shard failure: an injected stall would end in the same retry
+as a crash, only later.
 """
 
 from __future__ import annotations
 
 import logging
 import multiprocessing
-import time
 from concurrent.futures import Future, ProcessPoolExecutor
-from concurrent.futures import TimeoutError as FutureTimeout
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import asdict, dataclass
 from datetime import date
@@ -77,14 +66,8 @@ from repro.attackers.orchestrator import (
     simulate_day,
 )
 from repro.config import SimulationConfig
-from repro.faults.corruption import (
-    WorkerCrash,
-    WorkerHang,
-    crash_point,
-    hang_point,
-)
+from repro.faults.corruption import WorkerCrash, crash_point
 from repro.honeynet.columnar import ColumnBatch
-from repro.overload.watchdog import DeadlinePolicy, ShardDeadlineExceeded
 from repro.parallel.shards import Shard, plan_shards
 from repro import telemetry
 from repro.util.timeutils import days_between
@@ -174,15 +157,10 @@ def _run_shard(
 
     ``task`` carries the attempt number so the fault model can decide,
     per ``(shard, attempt)``, whether this attempt crashes mid-run
-    (:func:`repro.faults.corruption.crash_point`) or stalls
-    (:func:`repro.faults.corruption.hang_point` — the worker sleeps the
-    stall out and then dies like a crash, since a pool worker cannot be
-    killed from outside; with a shard deadline set, the parent's
-    watchdog stops waiting at the hard deadline instead).  A crashed or
-    hung attempt raises before returning anything; since the collector
-    is task-local and the honeypot counters are preset absolutely at the
-    start of every task, the discarded partial work cannot leak into a
-    retry.
+    (:func:`repro.faults.corruption.crash_point`).  A crashed attempt
+    raises before returning anything; since the collector is task-local
+    and the honeypot counters are preset absolutely at the start of
+    every task, the discarded partial work cannot leak into a retry.
     """
     index, start_iso, end_iso, base_counters, attempt = task
     substrate = _worker_substrate()
@@ -190,13 +168,6 @@ def _run_shard(
         days_between(date.fromisoformat(start_iso), date.fromisoformat(end_iso))
     )
     crash_after = crash_point(
-        substrate.config.faults.integrity,
-        substrate.config.seed,
-        index,
-        attempt,
-        len(days),
-    )
-    hang = hang_point(
         substrate.config.faults.integrity,
         substrate.config.seed,
         index,
@@ -216,13 +187,6 @@ def _run_shard(
                 raise WorkerCrash(
                     f"injected crash in shard {index} attempt {attempt} "
                     f"after {day_number} of {len(days)} days"
-                )
-            if hang is not None and day_number == hang[0]:
-                time.sleep(hang[1])
-                raise WorkerHang(
-                    f"injected hang in shard {index} attempt {attempt} "
-                    f"after {day_number} of {len(days)} days "
-                    f"({hang[1]:.2f}s stall)"
                 )
             with telemetry.span("sim.day"):
                 simulate_day(substrate, day, deliver)
@@ -273,68 +237,28 @@ def _submit(pool: ProcessPoolExecutor, fn, arg) -> Future | None:
         return None
 
 
-def _await_shard(
-    future: Future, deadline: DeadlinePolicy | None, shard: Shard
-) -> ShardOutput:
-    """Wait for one shard attempt under the watchdog's deadlines.
-
-    Without a deadline this is a plain blocking wait.  With one, the
-    soft deadline is a logged warning (a slow shard is not yet a dead
-    shard) and the hard deadline cancels the attempt: the future is
-    abandoned (a running pool worker cannot be killed, but its result
-    will never be read) and :class:`ShardDeadlineExceeded` hands the
-    shard to the retry ladder.
-    """
-    if deadline is None:
-        return future.result()
-    try:
-        return future.result(timeout=deadline.soft_s)
-    except FutureTimeout:
-        telemetry.count("overload.watchdog.soft_breaches")
-        logger.warning(
-            "shard %d passed its %.2fs soft deadline; still waiting",
-            shard.index, deadline.soft_s,
-        )
-    try:
-        return future.result(timeout=deadline.hard_s - deadline.soft_s)
-    except FutureTimeout:
-        telemetry.count("overload.watchdog.hard_breaches")
-        future.cancel()
-        telemetry.count("overload.watchdog.cancellations")
-        raise ShardDeadlineExceeded(
-            f"shard {shard.index} overran its {deadline.hard_s:.2f}s "
-            "hard deadline"
-        ) from None
-
-
 def _settle_shard(
     pool: ProcessPoolExecutor,
     shard: Shard,
     task: tuple[int, str, str, dict[str, int], int],
     future: Future | None,
-    deadline: DeadlinePolicy | None = None,
 ) -> ShardOutput | None:
-    """Resolve one shard's output, surviving crashed and hung workers.
+    """Resolve one shard's output, surviving crashed workers.
 
-    An attempt that dies with :class:`WorkerCrash` or
-    :class:`WorkerHang` (injected), or that the watchdog cancelled at
-    its hard deadline, is re-submitted — deterministic re-execution,
-    byte-identical output — up to :data:`MAX_SHARD_ATTEMPTS` total
-    attempts.  After that, or when the pool itself breaks (a real worker
-    death), returns ``None``: the run loop then simulates the shard's
-    days in the parent with the serial day step, which yields the same
-    bytes, so digest equality with the serial engine holds under every
-    crash/hang schedule.
+    An attempt that dies with an injected :class:`WorkerCrash` is
+    re-submitted — deterministic re-execution, byte-identical output —
+    up to :data:`MAX_SHARD_ATTEMPTS` total attempts.  After that, or
+    when the pool itself breaks (a real worker death), returns ``None``:
+    the run loop then simulates the shard's days in the parent with the
+    serial day step, which yields the same bytes, so digest equality
+    with the serial engine holds under every crash schedule.
     """
     attempt = 1
     while future is not None:
         try:
-            return _await_shard(future, deadline, shard)
-        except (WorkerCrash, WorkerHang, ShardDeadlineExceeded) as error:
-            if isinstance(error, WorkerHang):
-                telemetry.count("parallel.worker_hangs")
-            elif isinstance(error, WorkerCrash):
-                telemetry.count("parallel.worker_crashes")
+            return future.result()
+        except WorkerCrash as error:
+            telemetry.count("parallel.worker_crashes")
             logger.warning(
                 "shard %d attempt %d failed: %s", shard.index, attempt, error
             )
@@ -409,7 +333,6 @@ def produce_shards(
     if registry is not None:
         registry.gauge("parallel.workers", workers)
         registry.count("parallel.shards", len(shards))
-    deadline = DeadlinePolicy.from_deadline(substrate.config.shard_deadline_s)
 
     global _PARENT_SUBSTRATE
     _PARENT_SUBSTRATE = substrate
@@ -448,8 +371,6 @@ def produce_shards(
             # Hand over in shard order: concatenation reproduces the
             # serial ingestion order.
             for shard, task, future in zip(shards, tasks, run_futures):
-                yield shard, task[3], _settle_shard(
-                    pool, shard, task, future, deadline
-                )
+                yield shard, task[3], _settle_shard(pool, shard, task, future)
     finally:
         _PARENT_SUBSTRATE = None

@@ -13,8 +13,8 @@ gauges, and an optional
 Around that pipeline sits the supervision layer
 (:mod:`repro.stream.supervisor`): per-stage circuit breakers with
 seeded probe schedules, a bounded inter-stage queue whose depth feeds
-backpressure into the admission controller, heartbeat monitoring on the
-:class:`~repro.overload.watchdog.DeadlinePolicy` watchdog, the
+backpressure into the admission controller, heartbeat monitoring
+against a :class:`~repro.stream.supervisor.DeadlinePolicy`, the
 ``full → analysis-deferred → shed-only`` degraded-mode ladder, and
 crash recovery that resumes the stream — supervision state included —
 from the newest valid checkpoint generation.

@@ -22,7 +22,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from repro.faults.stream import StreamFaults
-from repro.overload.watchdog import DeadlinePolicy
+from repro.stream.supervisor import DeadlinePolicy
 
 
 @dataclass(frozen=True)
@@ -38,7 +38,7 @@ class StreamPolicy:
       ``high_watermark=None`` defaults to half the capacity.
     * ``heartbeat_deadline_s`` — virtual-time hard deadline for stage
       heartbeats, armed as a
-      :class:`~repro.overload.watchdog.DeadlinePolicy` (soft at half);
+      :class:`~repro.stream.supervisor.DeadlinePolicy` (soft at half);
       None disarms heartbeat supervision.
     * ``breaker_*`` — per-stage circuit-breaker thresholds and the
       seeded probe backoff base/cap.

@@ -2,10 +2,10 @@
 
 The supervisor owns the robustness state machine around the stream
 engine's pipeline: one circuit breaker per stage, the bounded
-inter-stage queue, a heartbeat monitor reusing the hung-worker
-watchdog's :class:`~repro.overload.watchdog.DeadlinePolicy` (against
-*virtual* time, so supervision is deterministic), and the explicit
-degraded-mode ladder::
+inter-stage queue, a heartbeat monitor grading stage staleness against
+the soft/hard deadlines of a :class:`DeadlinePolicy` (on *virtual*
+time, so supervision is deterministic), and the explicit degraded-mode
+ladder::
 
     full  →  analysis-deferred  →  shed-only
 
@@ -33,7 +33,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from repro import telemetry
-from repro.overload.watchdog import DeadlinePolicy
 from repro.stream.breaker import CLOSED, CircuitBreaker
 from repro.stream.queues import BoundedStreamQueue
 from repro.util.rng import RngTree
@@ -91,13 +90,39 @@ class ModeTransition:
         )
 
 
+@dataclass(frozen=True)
+class DeadlinePolicy:
+    """Soft/hard deadlines, in virtual seconds, for a stage heartbeat."""
+
+    hard_s: float
+    soft_fraction: float = 0.5
+
+    def __post_init__(self) -> None:
+        if self.hard_s <= 0.0:
+            raise ValueError("hard_s must be positive")
+        if not 0.0 < self.soft_fraction <= 1.0:
+            raise ValueError("soft_fraction must be in (0, 1]")
+
+    @property
+    def soft_s(self) -> float:
+        """Staleness at which a stage is worth a warning."""
+        return self.hard_s * self.soft_fraction
+
+    @classmethod
+    def from_deadline(cls, hard_s: float | None) -> "DeadlinePolicy | None":
+        """The policy for a configured hard deadline, or ``None``."""
+        if hard_s is None:
+            return None
+        return cls(hard_s=float(hard_s))
+
+
 @dataclass
 class HeartbeatMonitor:
-    """Stage liveness against virtual time, via the watchdog's policy.
+    """Stage liveness against virtual time.
 
     Each processed event beats its stage; :meth:`check` grades the
     staleness of the last beat against the soft/hard deadlines of a
-    :class:`~repro.overload.watchdog.DeadlinePolicy`.  Breaches are
+    :class:`DeadlinePolicy`.  Breaches are
     counted once per *episode* (per escalation since the last healthy
     check), not once per event, so a skewed day yields one soft and one
     hard alarm — deterministic and bounded.

@@ -80,12 +80,11 @@ __all__ = [
 #: Metric-name prefixes that describe the execution *engine* rather
 #: than the simulated pipeline.  They legitimately differ between a
 #: serial run and a parallel run of the same config (the parent's
-#: absorb bookkeeping only exists when shards are merged, checkpoint
-#: cadence is day-based serially but shard-boundary-based in parallel,
-#: and watchdog breaches depend on wall-clock scheduling; store
-#: counters track artifact-tree persistence, which is engine-external
-#: bookkeeping), so the differential suite compares registries with
-#: these filtered out.
+#: absorb bookkeeping only exists when shards are merged, and
+#: checkpoint cadence is day-based serially but shard-boundary-based in
+#: parallel; store counters track artifact-tree persistence, which is
+#: engine-external bookkeeping), so the differential suite compares
+#: registries with these filtered out.
 #: The admission counters (``overload.admitted/shed/deferred``) are
 #: deliberately NOT here: shedding verdicts are seeded per record, so
 #: both engines must agree on them exactly.
@@ -101,7 +100,6 @@ MERGE_ONLY_PREFIXES = (
     "parallel.",
     "collector.absorb.",
     "checkpoint.",
-    "overload.watchdog.",
     "store.",
     "stream.",
     "service.",

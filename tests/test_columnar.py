@@ -297,34 +297,6 @@ class TestCountDayFastPath:
             simulate_day(substrate, day, record_only)
         assert counted == handled
 
-    def test_telnet_exclusion_falls_back_to_intents(self):
-        config = SimulationConfig(
-            seed=5,
-            scale=1e-4,
-            start=date(2023, 9, 20),
-            end=date(2023, 9, 22),
-            include_telnet=False,
-        )
-        substrate = build_substrate(config)
-        counted: dict[str, int] = {}
-        count_day(substrate, date(2023, 9, 20), counted)
-        handled: dict[str, int] = {}
-        substrate = build_substrate(config)
-        simulate_day(
-            substrate,
-            date(2023, 9, 20),
-            lambda record: handled.update(
-                {
-                    record.honeypot_id: handled.get(record.honeypot_id, 0)
-                    + 1
-                }
-            )
-            or True,
-        )
-        # Excluded-telnet intents are skipped by both loops, so the
-        # intent-building fallback still matches the real loop exactly.
-        assert counted == handled
-
 
 # ----------------------------------------------------------------------
 # shed-path: flood-off runs execute zero overload instrumentation

@@ -6,7 +6,8 @@ from datetime import date
 
 import pytest
 
-from repro.config import DEFAULT_CONFIG, OUTAGE_START
+from repro.config import DEFAULT_CONFIG
+from repro.faults.plan import PAPER_OUTAGE_START
 from repro.honeynet.collector import Collector, OutageWindow
 from repro.honeynet.database import SessionDatabase
 from repro.honeynet.deployment import deploy_honeynet
@@ -82,7 +83,7 @@ class TestCollector:
 
     def test_outage_drops(self):
         collector = Collector()
-        assert not collector.ingest(make_session(to_epoch(OUTAGE_START, 3600)))
+        assert not collector.ingest(make_session(to_epoch(PAPER_OUTAGE_START, 3600)))
         assert collector.dropped == 1
         assert collector.sessions == []
 

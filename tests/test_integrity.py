@@ -464,7 +464,7 @@ class TestCheckpointGenerations:
 
 
 def crashy_profile(probability: float = 1.0) -> FaultProfile:
-    """The paper profile plus guaranteed worker crashes."""
+    """The paper profile plus worker crashes at ``probability``."""
     return dataclasses.replace(
         FaultProfile.paper(),
         name="crashy",
@@ -490,6 +490,26 @@ class TestCrashTolerance:
         assert fallbacks >= 2  # every shard fell back
         # Each shard burned its full retry budget before giving up.
         assert registry.counters["parallel.worker_crashes"] == 3 * fallbacks
+
+    def test_crashed_attempts_succeed_on_retry(self):
+        """p=0.5 at seed 33 crashes some attempts but not all: at least
+        one shard is absorbed from a retried pool attempt rather than
+        falling back, and the digest is still the serial one."""
+        from repro import telemetry
+
+        config = SimulationConfig(
+            seed=33, scale=1e-4, faults=crashy_profile(0.5), **SHORT_WINDOW
+        )
+        serial = run_simulation(config)
+        with telemetry.collecting() as registry:
+            parallel = run_simulation(config, workers=2)
+        assert parallel.database.digest() == serial.database.digest()
+        counters = registry.counters
+        assert counters["parallel.shard_retries"] >= 1
+        assert (
+            counters.get("parallel.serial_fallbacks", 0)
+            < counters["parallel.shards"]
+        )
 
     def test_crash_free_profile_never_crashes(self):
         from repro import telemetry

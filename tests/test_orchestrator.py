@@ -8,7 +8,8 @@ import pytest
 
 from repro.analysis.categories import SessionCategory, category_counts
 from repro.attackers.orchestrator import run_simulation
-from repro.config import OUTAGE_END, OUTAGE_START, SimulationConfig
+from repro.config import SimulationConfig
+from repro.faults.plan import PAPER_OUTAGE_END, PAPER_OUTAGE_START
 from repro.honeypot.session import Protocol
 from repro.util.timeutils import epoch_date
 
@@ -49,16 +50,6 @@ class TestStructure:
         protocols = {s.protocol for s in tiny_result.database.sessions}
         assert protocols == {Protocol.SSH, Protocol.TELNET}
 
-    def test_telnet_can_be_disabled(self):
-        config = SimulationConfig(
-            seed=5, scale=1e-4, start=date(2022, 5, 1), end=date(2022, 5, 5),
-            include_telnet=False,
-        )
-        result = run_simulation(config)
-        assert all(
-            s.protocol == Protocol.SSH for s in result.database.sessions
-        )
-
     def test_sessions_within_window(self, tiny_result):
         config = tiny_result.config
         for record in tiny_result.database.sessions:
@@ -80,16 +71,16 @@ class TestStructure:
 class TestOutage:
     def test_outage_days_empty(self, dataset):
         by_day = dataset.database.by_day()
-        assert OUTAGE_START not in by_day
-        assert OUTAGE_END not in by_day
+        assert PAPER_OUTAGE_START not in by_day
+        assert PAPER_OUTAGE_END not in by_day
         assert dataset.simulation.collector.dropped > 0
 
     def test_surrounding_days_active(self, dataset):
         from datetime import timedelta
 
         by_day = dataset.database.by_day()
-        assert (OUTAGE_START - timedelta(days=1)) in by_day
-        assert (OUTAGE_END + timedelta(days=1)) in by_day
+        assert (PAPER_OUTAGE_START - timedelta(days=1)) in by_day
+        assert (PAPER_OUTAGE_END + timedelta(days=1)) in by_day
 
 
 class TestExtraBots:

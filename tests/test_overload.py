@@ -1,16 +1,13 @@
-"""Overload robustness: admission control, load-shedding, the watchdog.
+"""Overload robustness: admission control and load-shedding.
 
-Three layers of coverage:
+Two layers of coverage:
 
-* unit — the admission gate's verdicts, the deadline policy, the flood
-  presets, and the collector's extended conservation accounting;
+* unit — the admission gate's verdicts, the flood presets, and the
+  collector's extended conservation accounting;
 * differential — under flood the parallel engine must still equal the
   serial one byte for byte, whatever the worker count, and a flood that
   is switched *off* must leave every pre-overload byte (digest,
-  fingerprint, checkpoint counters section) untouched;
-* watchdog — injected hangs are survived via the retry → serial
-  fallback ladder, and the watchdog cancels pool attempts at their
-  hard deadline.
+  fingerprint, checkpoint counters section) untouched.
 """
 
 from __future__ import annotations
@@ -31,7 +28,7 @@ from repro.faults.checkpoint import (
     save_checkpoint,
 )
 from repro.faults.coverage import CoverageError, overload_note, validate_coverage
-from repro.faults.plan import FaultProfile, FloodFaults, IntegrityFaults
+from repro.faults.plan import FaultProfile, FloodFaults
 from repro.honeynet.collector import Collector
 from repro.honeypot.cowrie import DEFAULT_SESSION_TIMEOUT_S, CowrieHoneypot
 from repro.honeypot.session import CommandRecord, FileEvent, FileOp
@@ -43,7 +40,6 @@ from repro.overload.admission import (
     build_admission_controller,
     record_priority,
 )
-from repro.overload.watchdog import DeadlinePolicy
 from repro.util.rng import RngTree
 from tests.conftest import make_record, short_fault_config
 
@@ -170,12 +166,8 @@ class TestConfigFingerprint:
         assert config_fingerprint(flooded) != PRE_OVERLOAD_FINGERPRINT
 
     def test_execution_knobs_do_not_change_fingerprint(self):
-        tweaked = DEFAULT_CONFIG.replace(workers=4, shard_deadline_s=60.0)
+        tweaked = DEFAULT_CONFIG.replace(workers=4)
         assert config_fingerprint(tweaked) == PRE_OVERLOAD_FINGERPRINT
-
-    def test_shard_deadline_validated(self):
-        with pytest.raises(ValueError, match="shard_deadline_s"):
-            SimulationConfig(shard_deadline_s=0.0)
 
 
 class TestRecordPriority:
@@ -369,13 +361,6 @@ class TestFloodDifferential:
             flood_baselines["burst"].database.digest()
         )
 
-    def test_watchdog_off_path_is_byte_identical(self, flood_baselines):
-        """A generous deadline changes nothing about the bytes."""
-        parallel = run_simulation(
-            flood_config("burst").replace(shard_deadline_s=600.0), workers=2
-        )
-        assert_flood_equivalent(parallel, flood_baselines["burst"])
-
 
 class TestFloodOffIsByteIdentical:
     """Flood disabled ⇒ every pre-overload artifact byte survives."""
@@ -415,106 +400,6 @@ class TestFloodOffIsByteIdentical:
             + counters.get("quarantined", 0)
             + counters.get("shed", 0)
         )
-
-
-class TestWatchdogPolicy:
-    def test_soft_deadline_is_a_fraction_of_hard(self):
-        policy = DeadlinePolicy(hard_s=10.0)
-        assert policy.soft_s == 5.0
-
-    def test_validation(self):
-        with pytest.raises(ValueError, match="hard_s"):
-            DeadlinePolicy(hard_s=0.0)
-        with pytest.raises(ValueError, match="soft_fraction"):
-            DeadlinePolicy(hard_s=1.0, soft_fraction=0.0)
-        with pytest.raises(ValueError, match="soft_fraction"):
-            DeadlinePolicy(hard_s=1.0, soft_fraction=1.5)
-
-    def test_from_deadline(self):
-        assert DeadlinePolicy.from_deadline(None) is None
-        policy = DeadlinePolicy.from_deadline(42)
-        assert policy.hard_s == 42.0
-
-
-def hang_config(
-    end: date = date(2023, 3, 4),
-    crash_probability: float = 0.0,
-    hang_seconds: float = 0.05,
-    **config_kwargs,
-) -> SimulationConfig:
-    """A tiny window whose every shard attempt hangs (and maybe crashes)."""
-    return SimulationConfig(
-        seed=5,
-        scale=1e-4,
-        start=date(2023, 3, 1),
-        end=end,
-        faults=dataclasses.replace(
-            FaultProfile.none(),
-            integrity=IntegrityFaults(
-                worker_crash_probability=crash_probability,
-                worker_hang_probability=1.0,
-                worker_hang_seconds=hang_seconds,
-            ),
-        ),
-        **config_kwargs,
-    )
-
-
-@pytest.mark.parallel
-class TestWatchdog:
-    def test_hung_shards_fall_back_to_serial(self):
-        """Certain hangs on every attempt — including the final shard —
-        still produce the serial bytes via the fallback ladder."""
-        from repro import telemetry
-
-        config = hang_config()
-        serial = run_simulation(config)
-        with telemetry.collecting() as registry:
-            parallel = run_simulation(config, workers=2)
-        assert parallel.database.digest() == serial.database.digest()
-        counters = registry.export()["counters"]
-        assert counters["parallel.worker_hangs"] >= 1
-        assert counters["parallel.serial_fallbacks"] >= 1
-
-    def test_watchdog_cancels_hung_attempts(self):
-        """With a deadline shorter than the stall, attempts are cancelled
-        (not waited out) and the fallback still reproduces the bytes —
-        the stall is shorter than the deadline here, so the fallback's
-        own stall fits inside its deadline window."""
-        from repro import telemetry
-
-        config = hang_config(hang_seconds=2.0, shard_deadline_s=8.0)
-        serial = run_simulation(config.replace(shard_deadline_s=None))
-        with telemetry.collecting() as registry:
-            parallel = run_simulation(config, workers=2)
-        assert parallel.database.digest() == serial.database.digest()
-        counters = registry.export()["counters"]
-        # Each 2s stall trips the 4s soft deadline? No — soft is half of
-        # 8s = 4s, and a shard is a two-day sim plus one 2s stall, well
-        # inside it.  The hangs surface as WorkerHang deaths instead.
-        assert counters["parallel.worker_hangs"] >= 1
-        assert counters["parallel.serial_fallbacks"] >= 1
-        assert "overload.watchdog.hard_breaches" not in counters
-
-    def test_hang_and_crash_cofire_on_the_same_shard(self):
-        """Both faults certain on every attempt: whichever fires first,
-        the ladder still lands on the serial bytes."""
-        config = hang_config(crash_probability=1.0)
-        serial = run_simulation(config)
-        parallel = run_simulation(config, workers=2)
-        assert parallel.database.digest() == serial.database.digest()
-
-    def test_healthy_run_with_deadline_has_no_breaches(self, serial_baselines):
-        from repro import telemetry
-
-        config = short_fault_config("paper").replace(shard_deadline_s=600.0)
-        with telemetry.collecting() as registry:
-            parallel = run_simulation(config, workers=2)
-        assert parallel.database.digest() == (
-            serial_baselines["paper"].database.digest()
-        )
-        counters = registry.export()["counters"]
-        assert not any(key.startswith("overload.watchdog") for key in counters)
 
 
 class TestOverloadProperties:
@@ -663,8 +548,3 @@ class TestCliWiring:
     def test_flood_defaults_off(self):
         config = self.parse("--fault-profile", "paper")
         assert config.faults.flood.inert
-        assert config.shard_deadline_s is None
-
-    def test_shard_deadline_flag(self):
-        config = self.parse("--shard-deadline-s", "120")
-        assert config.shard_deadline_s == 120.0

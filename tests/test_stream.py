@@ -74,7 +74,7 @@ from repro.stream import (
     StreamSupervisor,
     run_stream,
 )
-from repro.overload.watchdog import DeadlinePolicy
+from repro.stream.supervisor import DeadlinePolicy
 from repro.util.rng import RngTree
 from tests.conftest import PROFILES, make_record, short_fault_config
 from tests.test_parallel import assert_equivalent
@@ -662,6 +662,25 @@ class TestSupervisorLadder:
             supervisor.set_mode("panic", "test", 1, 1)
         with pytest.raises(ValueError, match="unknown stream mode"):
             supervisor.restore({"mode": "panic"})
+
+
+class TestDeadlinePolicy:
+    def test_soft_deadline_is_a_fraction_of_hard(self):
+        policy = DeadlinePolicy(hard_s=10.0)
+        assert policy.soft_s == 5.0
+
+    def test_validation(self):
+        with pytest.raises(ValueError, match="hard_s"):
+            DeadlinePolicy(hard_s=0.0)
+        with pytest.raises(ValueError, match="soft_fraction"):
+            DeadlinePolicy(hard_s=1.0, soft_fraction=0.0)
+        with pytest.raises(ValueError, match="soft_fraction"):
+            DeadlinePolicy(hard_s=1.0, soft_fraction=1.5)
+
+    def test_from_deadline(self):
+        assert DeadlinePolicy.from_deadline(None) is None
+        policy = DeadlinePolicy.from_deadline(42)
+        assert policy.hard_s == 42.0
 
 
 class TestHeartbeatEpisodes:
