@@ -318,7 +318,9 @@ def check_lsh_recall(seed: int, corpus_size: int) -> None:
     )
 
     corpus = synthetic_token_corpus(corpus_size, seed=seed)
-    exact = distance_matrix(corpus, workers=4)
+    exact = distance_matrix(
+        corpus, workers=4, sketch=SketchConfig(min_sequences=len(corpus) + 1)
+    )
     upper = np.triu_indices(len(corpus), k=1)
     close = exact[upper] <= LSH_CLOSE_THRESHOLD
     total_close = int(close.sum())

@@ -9,6 +9,11 @@ import numpy as np
 
 from repro import telemetry
 from repro.analysis.dld import damerau_levenshtein, dld_bounds
+from repro.analysis.sketch import (
+    DEFAULT_SKETCH_CONFIG,
+    SketchConfig,
+    sketch_distance_matrix,
+)
 from repro.analysis.tokenizer import DEFAULT_TOKENIZER, TokenizerConfig
 from repro.honeypot.session import SessionRecord
 
@@ -106,100 +111,41 @@ def pair_distance(
     return _cached_pair_distance(fingerprint, a, b)
 
 
-def exact_compact_matrix(
-    distinct: list[tuple[str, ...]],
-    workers: int = 1,
-    fingerprint: str = DEFAULT_TOKENIZER.fingerprint,
-) -> np.ndarray:
-    """The exact m×m matrix over *distinct* sequences (the oracle core).
-
-    Shared by the exact pipeline and the sketch path's below-floor
-    bypass, so "exact mode" is one code path with one set of bits.
-    ``workers > 1`` chunks the upper triangle over a process pool when
-    the pair count justifies it; the result is identical either way.
-    """
-    m = len(distinct)
-    total_pairs = m * (m - 1) // 2
-    if workers > 1:
-        from repro.parallel.distance import (
-            MIN_PAIRS_FOR_POOL,
-            compact_distance_matrix_parallel,
-        )
-
-        if total_pairs >= MIN_PAIRS_FOR_POOL:
-            return compact_distance_matrix_parallel(
-                distinct, workers, fingerprint=fingerprint
-            )
-    compact = np.zeros((m, m), dtype=np.float64)
-    for i in range(m):
-        for j in range(i + 1, m):
-            value = pair_distance(distinct[i], distinct[j], fingerprint)
-            compact[i, j] = value
-            compact[j, i] = value
-    return compact
-
-
 def distance_matrix(
     token_sequences: list[list[str]],
     workers: int = 1,
-    mode: str = "exact",
-    sketch=None,
+    sketch: SketchConfig = DEFAULT_SKETCH_CONFIG,
     tokenizer: TokenizerConfig = DEFAULT_TOKENIZER,
 ) -> np.ndarray:
     """Symmetric normalized-DLD matrix (zeros on the diagonal).
 
-    Identical token sequences are deduplicated internally so the O(n²)
-    DLD work only runs once per distinct behaviour — bot traffic is
-    heavily repetitive, which makes this the difference between seconds
-    and hours at realistic sample sizes.
-
-    ``mode="exact"`` (the default) computes every distinct pair — the
-    differential oracle.  ``mode="lsh"`` routes through the
-    MinHash/LSH candidate prefilter (:mod:`repro.analysis.sketch`):
-    only candidate-bucket pairs (plus bounds-pinned pairs) pay the
-    O(len²) DP, pruned pairs hold a sound upper bound, and below the
-    sketch activation floor the result is the exact matrix bit for
-    bit.  Pass ``sketch=SketchConfig(...)`` to override the prefilter
-    parameters.
+    The values of :func:`~repro.analysis.sketch.sketch_distance_matrix`,
+    the one builder.  Identical token sequences are deduplicated, so
+    the O(n²) DLD work only runs once per distinct behaviour — bot
+    traffic is heavily repetitive, which makes this the difference
+    between seconds and hours at realistic sample sizes.  Below
+    ``sketch.min_sequences`` distinct sequences every pair is
+    measured; at or above it only the MinHash/LSH candidates (plus
+    bounds-pinned pairs) pay the DP and pruned pairs hold the sound
+    upper bound 1.0.
 
     ``workers > 1`` evaluates the pair work in chunks on a process
     pool (:mod:`repro.parallel.distance`); every pair is the same pure
     function either way, so the matrix is identical at any worker
-    count.  Tiny inputs fall back to serial — the pool costs more than
-    the DP below a few hundred pairs.
+    count.  Tiny inputs stay serial — the pool costs more than the DP
+    below a few hundred pairs.
     """
-    if mode == "lsh":
-        from repro.analysis.sketch import (
-            DEFAULT_SKETCH_CONFIG,
-            sketch_distance_matrix,
-        )
-
-        return sketch_distance_matrix(
-            token_sequences, sketch or DEFAULT_SKETCH_CONFIG, workers=workers
-        ).values
-    if mode != "exact":
-        raise ValueError(f"unknown distance mode: {mode!r}")
     with telemetry.span("dld.matrix"):
-        keys = [tuple(seq) for seq in token_sequences]
-        distinct: list[tuple[str, ...]] = []
-        index_of: dict[tuple[str, ...], int] = {}
-        for key in keys:
-            if key not in index_of:
-                index_of[key] = len(distinct)
-                distinct.append(key)
-        m = len(distinct)
-        total_pairs = m * (m - 1) // 2
+        built = sketch_distance_matrix(
+            token_sequences, sketch, workers=workers, tokenizer=tokenizer
+        )
         registry = telemetry.active()
         if registry is not None:
             registry.count("dld.matrix_builds")
-            registry.count("dld.sequences", len(keys))
-            registry.count("dld.distinct_sequences", m)
-            registry.count("dld.pairs", total_pairs)
-        compact = exact_compact_matrix(
-            distinct, workers, fingerprint=tokenizer.fingerprint
-        )
-        mapping = np.array([index_of[key] for key in keys])
-        return compact[np.ix_(mapping, mapping)]
+            registry.count("dld.sequences", len(token_sequences))
+            registry.count("dld.distinct_sequences", built.distinct_sequences)
+            registry.count("dld.pairs", built.total_pairs)
+        return built.values
 
 
 def sample_sessions(

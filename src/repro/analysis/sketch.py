@@ -22,23 +22,24 @@ module adds a sketch-based prefilter in the style of Shamsi et al.
    position tracked in :attr:`ApproxDistanceMatrix.pruned`, so
    consumers can distinguish "measured 1.0" from "bounded 1.0".
 
-**Exactness contract.**  Below :attr:`SketchConfig.min_sequences`
-distinct sequences the sketch machinery is pure overhead — the DP is
-cheap and the approximation risk buys nothing — so the sketch path
-*bypasses* to the exact matrix, bit for bit (the same idiom as
-``MIN_PAIRS_FOR_POOL`` in :mod:`repro.parallel.distance`).  The
-paper-scale pipeline (≤ ``CLUSTER_SAMPLE_LIMIT`` = 400 sessions) is
-always below the floor, which is how ``--mode lsh`` reproduces the
-exact-mode cluster assignments and figure digests byte for byte at
-paper scale; the differential suite (tests/test_cluster_differential.py)
-additionally pins the *pruned* regime against the exact oracle with
-the floor forced to zero.
+**Exactness contract.**  :func:`sketch_distance_matrix` is the one
+builder behind every DLD matrix (``distance_matrix`` returns its
+values), and the input size picks the regime.  Below
+:attr:`SketchConfig.min_sequences` distinct sequences the sketch
+machinery is pure overhead — the DP is cheap and the approximation
+risk buys nothing — so every pair is measured and no signature is
+computed (the same idiom as ``MIN_PAIRS_FOR_POOL`` in
+:mod:`repro.parallel.distance`).  The paper pipeline (at most
+``CLUSTER_SAMPLE_LIMIT`` = 400 sessions per matrix) is always below the
+floor.  The differential suite (tests/test_sketch.py, scripts/soak.py)
+pins the *pruned* regime against the exact oracle by moving the floor:
+0 forces pruning, a floor above the input size forces every pair.
 
 Telemetry (all deterministic functions of config + data, so serial and
 parallel runs agree exactly — see docs/observability.md):
 
-* ``sketch.matrix_builds`` / ``sketch.bypassed`` — activations vs
-  below-floor exact fallbacks.
+* ``sketch.matrix_builds`` / ``sketch.bypassed`` — pruned builds vs
+  below-floor builds that measured every pair.
 * ``sketch.signatures`` — distinct sequences signed.
 * ``sketch.candidate_pairs`` / ``sketch.pruned_pairs`` /
   ``sketch.pinned_pairs`` — where every pair went.
@@ -59,6 +60,7 @@ import numpy as np
 
 from repro import telemetry
 from repro.analysis.dld import dld_bounds
+from repro.analysis.tokenizer import DEFAULT_TOKENIZER, TokenizerConfig
 
 #: Value substituted for a pruned pair: the trivial normalized-DLD
 #: upper bound (the DP result divided by ``max(len)`` never exceeds 1).
@@ -97,8 +99,8 @@ class SketchConfig:
         seed: seed for the permutation parameters — signatures are a
             pure function of (config, token sequence).
         min_sequences: activation floor.  Below this many *distinct*
-            sequences the sketch path computes the exact matrix
-            instead (see the module docstring's exactness contract).
+            sequences every pair is measured (see the module
+            docstring's exactness contract).
         close_jaccard: the similarity the recall gauge is quoted at
             (pairs at least this similar are the ones clustering must
             not lose).
@@ -300,10 +302,9 @@ class ApproxDistanceMatrix:
     ``values`` is the full symmetric n×n matrix; entries whose
     ``pruned`` flag is True were *not* measured — they hold
     :data:`PRUNED_DISTANCE`, a sound upper bound on the true
-    normalized DLD.  All other entries are bit-identical to what the
-    exact pipeline would compute.  ``exact`` is True when nothing was
-    pruned (the below-floor bypass), in which case ``values`` is the
-    exact matrix, byte for byte.
+    normalized DLD.  All other entries are measured values.  ``exact``
+    is True when nothing was pruned (always below the activation
+    floor), in which case ``values`` is the exact matrix.
     """
 
     values: np.ndarray
@@ -313,7 +314,6 @@ class ApproxDistanceMatrix:
     candidate_pairs: int
     pinned_pairs: int
     pruned_pairs: int
-    mode: str = "lsh"
     config: SketchConfig = field(default=DEFAULT_SKETCH_CONFIG, repr=False)
 
     @property
@@ -328,139 +328,121 @@ class ApproxDistanceMatrix:
         return self.pruned_pairs == 0
 
 
-def _dedup(
-    token_sequences: list[list[str]] | list[tuple[str, ...]],
-) -> tuple[list[tuple[str, ...]], list[tuple[str, ...]], dict]:
-    keys = [tuple(seq) for seq in token_sequences]
-    distinct: list[tuple[str, ...]] = []
-    index_of: dict[tuple[str, ...], int] = {}
-    for key in keys:
-        if key not in index_of:
-            index_of[key] = len(distinct)
-            distinct.append(key)
-    return keys, distinct, index_of
-
-
-def _expand(
-    compact: np.ndarray, keys: list, index_of: dict
-) -> np.ndarray:
-    mapping = np.array([index_of[key] for key in keys])
-    return compact[np.ix_(mapping, mapping)]
-
-
 def sketch_distance_matrix(
     token_sequences: list[list[str]] | list[tuple[str, ...]],
     config: SketchConfig = DEFAULT_SKETCH_CONFIG,
     workers: int = 1,
+    tokenizer: TokenizerConfig = DEFAULT_TOKENIZER,
 ) -> ApproxDistanceMatrix:
-    """The LSH-pruned normalized-DLD matrix over token sequences.
+    """The normalized-DLD matrix over token sequences — the one builder.
 
-    Candidate pairs (sharing an LSH band) and bounds-pinned pairs (one
-    side empty — the bounds coincide, no DP needed) get their exact
-    value via the same :func:`~repro.analysis.distance.pair_distance`
-    the exact pipeline uses; every other pair is recorded as a pruned
-    upper-bound entry.  Below the activation floor the exact matrix is
-    returned unchanged (see the module docstring).
+    Identical sequences are deduplicated first, so the O(len²) DP only
+    runs once per distinct behaviour.  Below
+    :attr:`SketchConfig.min_sequences` distinct sequences every pair of
+    the upper triangle is measured, in row-major order, and no
+    signature is computed.  At or above it, only candidate pairs
+    (sharing an LSH band) and bounds-pinned pairs (one side empty — the
+    bounds coincide, no DP needed) are measured; every other pair is
+    recorded as a pruned upper-bound entry.  Measured pairs go through
+    :func:`~repro.analysis.distance.pair_distance`, keyed by
+    ``tokenizer.fingerprint``.
 
-    ``workers > 1`` evaluates candidate pairs on a process pool: the
+    ``workers > 1`` evaluates the pair list on a process pool: the
     signatures are computed once here in the parent, and the workers
     receive only the distinct sequences (once, via the pool
-    initializer) plus compact pair-index arrays — never re-tokenized
-    text, never sketches they don't need.
+    initializer) plus a compact pair-index array.
     """
-    from repro.analysis.distance import exact_compact_matrix
-
     with telemetry.span("sketch.matrix"):
-        keys, distinct, index_of = _dedup(token_sequences)
+        keys = [tuple(seq) for seq in token_sequences]
+        index_of: dict[tuple[str, ...], int] = {}
+        for key in keys:
+            index_of.setdefault(key, len(index_of))
+        distinct = list(index_of)
         m = len(distinct)
         total_pairs = m * (m - 1) // 2
-        n = len(keys)
         registry = telemetry.active()
-        if m < config.min_sequences:
+        pruning = m >= config.min_sequences
+        if not pruning:
             if registry is not None:
                 registry.count("sketch.bypassed")
-            compact = exact_compact_matrix(distinct, workers)
-            return ApproxDistanceMatrix(
-                values=_expand(compact, keys, index_of),
-                pruned=np.zeros((n, n), dtype=bool),
-                distinct_sequences=m,
-                total_pairs=total_pairs,
-                candidate_pairs=total_pairs,
-                pinned_pairs=0,
-                pruned_pairs=0,
-                mode="exact",
-                config=config,
+            pairs = np.column_stack(np.triu_indices(m, k=1))
+            candidate_count, pinned_count = total_pairs, 0
+        else:
+            candidates, pinned = _lsh_pairs(distinct, config)
+            pairs = np.array(candidates + pinned, dtype=np.int64).reshape(-1, 2)
+            candidate_count, pinned_count = len(candidates), len(pinned)
+
+        with telemetry.span("sketch.candidate_dp"):
+            values = _measured_values(
+                distinct, pairs, workers, tokenizer.fingerprint
             )
-
-        sketcher = MinHashSketcher(config)
-        with telemetry.span("sketch.signatures"):
-            signatures = sketcher.signatures(distinct)
-        with telemetry.span("sketch.banding"):
-            candidates = lsh_candidate_pairs(signatures, config)
-
-        # Bounds-pinned pairs: an empty side makes dld_bounds coincide,
-        # so the value (exactly 1.0 against anything non-empty) costs no
-        # DP.  Dedup guarantees at most one empty distinct sequence.
-        candidate_set = set(candidates)
-        pinned: list[tuple[int, int]] = []
-        empty_indices = [i for i, seq in enumerate(distinct) if not seq]
-        for e in empty_indices:
-            for j in range(m):
-                if j == e:
-                    continue
-                pair = (min(e, j), max(e, j))
-                if pair not in candidate_set:
-                    pinned.append(pair)
-        pinned = sorted(set(pinned))
-
+        rows, cols = pairs[:, 0], pairs[:, 1]
         compact = np.full((m, m), PRUNED_DISTANCE, dtype=np.float64)
         np.fill_diagonal(compact, 0.0)
+        compact[rows, cols] = values
+        compact[cols, rows] = values
         pruned_compact = np.ones((m, m), dtype=bool)
         np.fill_diagonal(pruned_compact, False)
+        pruned_compact[rows, cols] = False
+        pruned_compact[cols, rows] = False
 
-        measured = candidates + pinned
-        with telemetry.span("sketch.candidate_dp"):
-            values = _measured_values(distinct, measured, workers)
-        for (i, j), value in zip(measured, values):
-            compact[i, j] = value
-            compact[j, i] = value
-            pruned_compact[i, j] = False
-            pruned_compact[j, i] = False
-
-        pruned_pairs = total_pairs - len(candidates) - len(pinned)
-        if registry is not None:
+        pruned_pairs = total_pairs - len(pairs)
+        if registry is not None and pruning:
             registry.count("sketch.matrix_builds")
             registry.count("sketch.signatures", m)
-            registry.count("sketch.candidate_pairs", len(candidates))
-            registry.count("sketch.pinned_pairs", len(pinned))
+            registry.count("sketch.candidate_pairs", candidate_count)
+            registry.count("sketch.pinned_pairs", pinned_count)
             registry.count("sketch.pruned_pairs", pruned_pairs)
             registry.gauge(
                 "sketch.candidate_ratio",
-                len(candidates) / total_pairs if total_pairs else 1.0,
+                candidate_count / total_pairs if total_pairs else 1.0,
             )
             registry.gauge(
                 "sketch.recall_estimate",
                 config.collision_probability(config.close_jaccard),
             )
+        mapping = np.array([index_of[key] for key in keys], dtype=np.intp)
+        grid = np.ix_(mapping, mapping)
         return ApproxDistanceMatrix(
-            values=_expand(compact, keys, index_of),
-            pruned=_expand(
-                pruned_compact.astype(np.uint8), keys, index_of
-            ).astype(bool),
+            values=compact[grid],
+            pruned=pruned_compact[grid],
             distinct_sequences=m,
             total_pairs=total_pairs,
-            candidate_pairs=len(candidates),
-            pinned_pairs=len(pinned),
+            candidate_pairs=candidate_count,
+            pinned_pairs=pinned_count,
             pruned_pairs=pruned_pairs,
-            mode="lsh",
             config=config,
         )
 
 
+def _lsh_pairs(
+    distinct: list[tuple[str, ...]], config: SketchConfig
+) -> tuple[list[tuple[int, int]], list[tuple[int, int]]]:
+    """Sorted LSH candidate pairs and the sorted bounds-pinned rest."""
+    sketcher = MinHashSketcher(config)
+    with telemetry.span("sketch.signatures"):
+        signatures = sketcher.signatures(distinct)
+    with telemetry.span("sketch.banding"):
+        candidates = lsh_candidate_pairs(signatures, config)
+
+    # Bounds-pinned pairs: an empty side makes dld_bounds coincide, so
+    # the value (exactly 1.0 against anything non-empty) costs no DP.
+    # Dedup guarantees at most one empty distinct sequence.
+    candidate_set = set(candidates)
+    pinned: set[tuple[int, int]] = set()
+    for e in (i for i, seq in enumerate(distinct) if not seq):
+        for j in range(len(distinct)):
+            pair = (min(e, j), max(e, j))
+            if j != e and pair not in candidate_set:
+                pinned.add(pair)
+    return candidates, sorted(pinned)
+
+
 def _measured_values(
     distinct: list[tuple[str, ...]],
-    pairs: list[tuple[int, int]],
+    pairs: np.ndarray,
     workers: int,
+    fingerprint: str,
 ) -> np.ndarray:
     """Exact values for the given distinct-index pairs, serial or pooled."""
     from repro.analysis.distance import pair_distance
@@ -472,9 +454,14 @@ def _measured_values(
         )
 
         if len(pairs) >= MIN_PAIRS_FOR_POOL:
-            return candidate_values_parallel(distinct, pairs, workers)
+            return candidate_values_parallel(
+                distinct, pairs, workers, fingerprint
+            )
     return np.array(
-        [pair_distance(distinct[i], distinct[j]) for i, j in pairs],
+        [
+            pair_distance(distinct[i], distinct[j], fingerprint)
+            for i, j in pairs.tolist()
+        ],
         dtype=np.float64,
     )
 

@@ -479,7 +479,7 @@ def cmd_telemetry(args: argparse.Namespace) -> int:
     return 0
 
 
-#: Default regression floors for ``repro bench --enforce``.
+#: Regression floors for ``repro bench --enforce``.
 SPEEDUP_FLOOR = 1.8
 TELEMETRY_BAR_PCT = 5.0
 #: Floors for the sketch-prefilter scenario (single-process pruning
@@ -496,15 +496,7 @@ SKETCH_RECALL_FLOOR = 0.95
 SERVICE_CACHE_FLOOR = 0.9
 
 
-def check_bench_floors(
-    report: dict,
-    speedup_floor: float = SPEEDUP_FLOOR,
-    telemetry_bar_pct: float = TELEMETRY_BAR_PCT,
-    sketch_speedup_floor: float = SKETCH_SPEEDUP_FLOOR,
-    sketch_ratio_bar: float = SKETCH_RATIO_BAR,
-    sketch_recall_floor: float = SKETCH_RECALL_FLOOR,
-    service_cache_floor: float = SERVICE_CACHE_FLOOR,
-) -> list[str]:
+def check_bench_floors(report: dict) -> list[str]:
     """Regression-floor violations in a bench report (empty = healthy).
 
     Floors guard the perf trajectory: parallel day-loop speedup at the
@@ -521,46 +513,46 @@ def check_bench_floors(
     day = report.get("day_loop", {})
     if (report.get("cpu_count") or 1) >= 2:
         speedup = day.get("speedup", 0.0)
-        if speedup < speedup_floor:
+        if speedup < SPEEDUP_FLOOR:
             violations.append(
                 f"day-loop speedup {speedup:.2f}x at "
                 f"{report.get('workers')} workers is below the "
-                f"{speedup_floor:.2f}x floor"
+                f"{SPEEDUP_FLOOR:.2f}x floor"
             )
     overhead = report.get("telemetry", {}).get("overhead_pct", 0.0)
-    if overhead > telemetry_bar_pct:
+    if overhead > TELEMETRY_BAR_PCT:
         violations.append(
             f"telemetry overhead {overhead:.2f}% exceeds the "
-            f"{telemetry_bar_pct:.2f}% bar"
+            f"{TELEMETRY_BAR_PCT:.2f}% bar"
         )
     sketch = report.get("sketch")
     if sketch:
         speedup = sketch.get("speedup", 0.0)
-        if speedup < sketch_speedup_floor:
+        if speedup < SKETCH_SPEEDUP_FLOOR:
             violations.append(
                 f"sketch speedup {speedup:.2f}x at "
                 f"{sketch.get('distinct_sequences')} distinct sequences "
-                f"is below the {sketch_speedup_floor:.2f}x floor"
+                f"is below the {SKETCH_SPEEDUP_FLOOR:.2f}x floor"
             )
         ratio = sketch.get("candidate_ratio", 0.0)
-        if ratio >= sketch_ratio_bar:
+        if ratio >= SKETCH_RATIO_BAR:
             violations.append(
                 f"sketch candidate ratio {ratio:.4f} is not below the "
-                f"{sketch_ratio_bar:.2f} bar"
+                f"{SKETCH_RATIO_BAR:.2f} bar"
             )
         recall = sketch.get("close_pair_recall", 1.0)
-        if recall < sketch_recall_floor:
+        if recall < SKETCH_RECALL_FLOOR:
             violations.append(
                 f"sketch close-pair recall {recall:.4f} is below the "
-                f"{sketch_recall_floor:.2f} floor"
+                f"{SKETCH_RECALL_FLOOR:.2f} floor"
             )
     service = report.get("service")
     if service:
         ratio = service.get("repeated", {}).get("cache_hit_ratio", 1.0)
-        if ratio < service_cache_floor:
+        if ratio < SERVICE_CACHE_FLOOR:
             violations.append(
                 f"service cache hit ratio {ratio:.4f} on repeated-query "
-                f"load is below the {service_cache_floor:.2f} floor"
+                f"load is below the {SERVICE_CACHE_FLOOR:.2f} floor"
             )
         for scenario in ("repeated", "breaker_open"):
             unserved = service.get(scenario, {}).get("unserved", 0)
@@ -914,16 +906,12 @@ def cmd_bench(args: argparse.Namespace) -> int:
     if args.sketch_sample > 0:
         report["sketch"] = _sketch_bench(args, config, best_of)
     report["service"] = _service_bench(serial_result, config)
-    violations = check_bench_floors(
-        report,
-        speedup_floor=args.speedup_floor,
-        telemetry_bar_pct=args.telemetry_bar,
-    )
+    violations = check_bench_floors(report)
     report["enforcement"] = {
         "enforced": bool(args.enforce),
-        "speedup_floor": args.speedup_floor,
+        "speedup_floor": SPEEDUP_FLOOR,
         "speedup_floor_applies": (report["cpu_count"] or 1) >= 2,
-        "telemetry_bar_pct": args.telemetry_bar,
+        "telemetry_bar_pct": TELEMETRY_BAR_PCT,
         "sketch_speedup_floor": SKETCH_SPEEDUP_FLOOR,
         "sketch_ratio_bar": SKETCH_RATIO_BAR,
         "sketch_recall_floor": SKETCH_RECALL_FLOOR,
@@ -987,11 +975,11 @@ def _print_sketch_bench(sketch: dict) -> None:
 
 
 def cmd_cluster(args: argparse.Namespace) -> int:
-    """Run the clustering stage on its own, exact or LSH-pruned.
+    """Run the clustering stage on its own.
 
-    ``--mode lsh`` routes the distance matrix through the MinHash/LSH
-    prefilter (identical results below the sketch activation floor —
-    which the default sample limit always is; see docs/clustering.md).
+    The distance matrix measures every pair below the sketch activation
+    floor and prunes with MinHash/LSH at or above it (the default
+    sample limit is always below; see docs/clustering.md).
     ``--online`` additionally replays the same token stream through the
     incremental assign-or-spawn clusterer and reports its pair
     agreement (Rand index) with the batch labels.
@@ -1010,10 +998,9 @@ def cmd_cluster(args: argparse.Namespace) -> int:
         if args.sample_limit is not None
         else CLUSTER_SAMPLE_LIMIT
     )
-    clustering = dataset.clustering(sample_limit=sample_limit, mode=args.mode)
+    clustering = dataset.clustering(sample_limit=sample_limit)
     distinct = len({tuple(t) for t in clustering.tokens})
     out: dict = {
-        "mode": clustering.mode,
         "sessions": len(clustering.sessions),
         "distinct_sequences": distinct,
         "chosen_k": clustering.selection.chosen_k,
@@ -1028,8 +1015,7 @@ def cmd_cluster(args: argparse.Namespace) -> int:
         ],
     }
     print(
-        f"== cluster: mode={clustering.mode}, "
-        f"{len(clustering.sessions)} sessions "
+        f"== cluster: {len(clustering.sessions)} sessions "
         f"({distinct} distinct), k={clustering.selection.chosen_k} =="
     )
     rows = [
@@ -1042,21 +1028,6 @@ def cmd_cluster(args: argparse.Namespace) -> int:
         for profile in clustering.profiles[:12]
     ]
     print(format_table(["rank", "sessions", "avg tokens", "families"], rows))
-    approx = clustering.approx
-    if approx is not None:
-        out["sketch"] = {
-            "candidate_pairs": approx.candidate_pairs,
-            "pinned_pairs": approx.pinned_pairs,
-            "pruned_pairs": approx.pruned_pairs,
-            "candidate_ratio": round(approx.candidate_ratio, 4),
-            "exact": approx.exact,
-        }
-        print(
-            f"sketch: {approx.candidate_pairs} candidate + "
-            f"{approx.pinned_pairs} pinned + {approx.pruned_pairs} pruned "
-            f"pairs (ratio {approx.candidate_ratio:.4f}, "
-            f"exact={approx.exact})"
-        )
 
     if args.online:
         from repro.analysis.online import OnlineClusterer, pair_agreement
@@ -1486,17 +1457,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="fail (exit 1) on regression-floor violations",
     )
     bench.add_argument(
-        "--speedup-floor", type=float, default=SPEEDUP_FLOOR, metavar="X",
-        help="minimum day-loop speedup at --workers (multi-core only; "
-        f"default {SPEEDUP_FLOOR})",
-    )
-    bench.add_argument(
-        "--telemetry-bar", type=float, default=TELEMETRY_BAR_PCT,
-        metavar="PCT",
-        help="maximum telemetry overhead percentage "
-        f"(default {TELEMETRY_BAR_PCT})",
-    )
-    bench.add_argument(
         "--sketch-sample", type=int, default=2000, metavar="N",
         help="distinct synthetic sequences for the LSH-prefilter "
         "scenario (0 disables it; default 2000)",
@@ -1510,15 +1470,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     cluster = commands.add_parser(
         "cluster",
-        help="run the clustering stage (exact or LSH-pruned), optionally "
-        "with the online clusterer and the fast-path agreement report",
+        help="run the clustering stage, optionally with the online "
+        "clusterer and the fast-path agreement report",
     )
     _add_common(cluster)
-    cluster.add_argument(
-        "--mode", choices=("exact", "lsh"), default="exact",
-        help="distance pipeline: every pair (exact) or MinHash/LSH "
-        "candidate pruning (lsh; see docs/clustering.md)",
-    )
     cluster.add_argument(
         "--sample-limit", type=int, default=None, metavar="N",
         help="max sessions fed to the clustering stage "

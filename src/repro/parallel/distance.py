@@ -1,21 +1,21 @@
 """Chunked, multiprocessing-backed pairwise DLD computation.
 
-The clustering pipeline needs the full symmetric normalized-DLD matrix
-over the *distinct* token sequences — m·(m-1)/2 independent pair
-computations, each a pure function of its two sequences.  This module
-linearizes the upper triangle into one index space, slices it into
-balanced chunks, and evaluates the chunks on a process pool.  Because
-every pair is computed by the same pure function the serial path uses
-(:func:`repro.analysis.distance.pair_distance`), the assembled matrix
-is identical to the serial one, bit for bit.
+Every DLD matrix is built from an explicit pair list over the
+*distinct* token sequences (:func:`repro.analysis.sketch.sketch_distance_matrix`):
+the full upper triangle below the sketch activation floor, the LSH
+candidates plus bounds-pinned pairs at or above it.  This module slices
+that list into balanced chunks and evaluates the chunks on a process
+pool.  Because every pair is computed by the same pure function the
+serial path uses (:func:`repro.analysis.distance.pair_distance`), the
+assembled values are identical to the serial ones, bit for bit.
 
-Workers receive the distinct sequences once (via the pool initializer),
-not per chunk, so the IPC cost is O(m + chunks), not O(pairs).
+Workers receive the distinct sequences and the pair-index array once
+(via the pool initializer), not per chunk, so the IPC cost is
+O(m + pairs + chunks), and each chunk is two integers.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_right
 from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
@@ -31,54 +31,8 @@ MIN_PAIRS_FOR_POOL = 256
 CHUNKS_PER_WORKER = 4
 
 _SEQUENCES: list[tuple[str, ...]] | None = None
-_ROW_OFFSETS: list[int] | None = None
 _FINGERPRINT: str | None = None
 _PAIRS: np.ndarray | None = None
-
-
-def row_offsets(m: int) -> list[int]:
-    """Linear index of the first pair of each row of the upper triangle.
-
-    Row ``i`` holds the pairs ``(i, i+1) .. (i, m-1)``; its first pair
-    has linear index ``offsets[i]``.  A trailing sentinel equal to the
-    total pair count makes bisection safe for the last row.
-    """
-    offsets = [0] * (m + 1)
-    for i in range(m):
-        offsets[i + 1] = offsets[i] + (m - 1 - i)
-    return offsets
-
-
-def pair_at(k: int, offsets: list[int]) -> tuple[int, int]:
-    """Map a linear upper-triangle index back to its ``(i, j)`` pair."""
-    i = bisect_right(offsets, k) - 1
-    return i, i + 1 + (k - offsets[i])
-
-
-def _init_pool(sequences: list[tuple[str, ...]], fingerprint: str) -> None:
-    global _SEQUENCES, _ROW_OFFSETS, _FINGERPRINT
-    _SEQUENCES = sequences
-    _ROW_OFFSETS = row_offsets(len(sequences))
-    _FINGERPRINT = fingerprint
-
-
-def _distance_chunk(span: tuple[int, int]) -> tuple[int, list[float]]:
-    """Compute normalized DLD for one linear range of pairs."""
-    from repro.analysis.distance import pair_distance
-
-    start, stop = span
-    sequences = _SEQUENCES
-    offsets = _ROW_OFFSETS
-    i, j = pair_at(start, offsets)
-    m = len(sequences)
-    values: list[float] = []
-    for _ in range(stop - start):
-        values.append(pair_distance(sequences[i], sequences[j], _FINGERPRINT))
-        j += 1
-        if j == m:
-            i += 1
-            j = i + 1
-    return start, values
 
 
 def _init_candidate_pool(
@@ -91,16 +45,13 @@ def _init_candidate_pool(
 
 
 def _candidate_chunk(span: tuple[int, int]) -> tuple[int, list[float]]:
-    """Compute normalized DLD for one slice of the candidate-pair list."""
+    """Compute normalized DLD for one slice of the pair list."""
     from repro.analysis.distance import pair_distance
 
     start, stop = span
     sequences = _SEQUENCES
-    pairs = _PAIRS
     values: list[float] = []
-    for k in range(start, stop):
-        i = int(pairs[k, 0])
-        j = int(pairs[k, 1])
+    for i, j in _PAIRS[start:stop].tolist():
         values.append(pair_distance(sequences[i], sequences[j], _FINGERPRINT))
     return start, values
 
@@ -120,69 +71,27 @@ def chunk_spans(total_pairs: int, chunk_count: int) -> list[tuple[int, int]]:
     return spans
 
 
-def compact_distance_matrix_parallel(
-    distinct: list[tuple[str, ...]],
-    workers: int,
-    fingerprint: str | None = None,
-) -> np.ndarray:
-    """The m×m compact matrix over distinct sequences, chunked over a pool."""
-    from repro.analysis.tokenizer import DEFAULT_TOKENIZER
-    from repro.parallel.engine import pool_context
-
-    if fingerprint is None:
-        fingerprint = DEFAULT_TOKENIZER.fingerprint
-    m = len(distinct)
-    total_pairs = m * (m - 1) // 2
-    compact = np.zeros((m, m), dtype=np.float64)
-    if total_pairs == 0:
-        return compact
-    offsets = row_offsets(m)
-    spans = chunk_spans(total_pairs, workers * CHUNKS_PER_WORKER)
-    telemetry.count("parallel.dld.chunks", len(spans))
-    flat = np.zeros(total_pairs, dtype=np.float64)
-    with ProcessPoolExecutor(
-        max_workers=workers,
-        mp_context=pool_context(),
-        initializer=_init_pool,
-        initargs=(distinct, fingerprint),
-    ) as pool:
-        for start, values in pool.map(_distance_chunk, spans):
-            flat[start : start + len(values)] = values
-    cursor = 0
-    for i in range(m):
-        row = flat[offsets[i] : offsets[i + 1]]
-        compact[i, i + 1 :] = row
-        compact[i + 1 :, i] = row
-        cursor += len(row)
-    return compact
-
-
 def candidate_values_parallel(
     distinct: list[tuple[str, ...]],
     pairs: np.ndarray,
     workers: int,
-    fingerprint: str | None = None,
+    fingerprint: str,
 ) -> np.ndarray:
     """Normalized DLD for an explicit ``(k, 2)`` pair-index array.
 
-    The sketch prefilter (:mod:`repro.analysis.sketch`) produces a
-    sparse candidate set rather than the full upper triangle, so the
-    pair list is shipped to the pool as one compact int32 array in the
-    initializer — the per-chunk IPC stays two integers, exactly like
-    the dense path.  Values come back in pair-list order.
+    The pair list is shipped to the pool as one compact int32 array in
+    the initializer — the per-chunk IPC stays two integers.  Values
+    come back in pair-list order.
     """
-    from repro.analysis.tokenizer import DEFAULT_TOKENIZER
     from repro.parallel.engine import pool_context
 
-    if fingerprint is None:
-        fingerprint = DEFAULT_TOKENIZER.fingerprint
     total = len(pairs)
     values = np.zeros(total, dtype=np.float64)
     if total == 0:
         return values
     pairs = np.ascontiguousarray(pairs, dtype=np.int32)
     spans = chunk_spans(total, workers * CHUNKS_PER_WORKER)
-    telemetry.count("parallel.dld.candidate_chunks", len(spans))
+    telemetry.count("parallel.dld.chunks", len(spans))
     with ProcessPoolExecutor(
         max_workers=workers,
         mp_context=pool_context(),

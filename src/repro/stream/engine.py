@@ -65,7 +65,14 @@ from repro.faults.checkpoint import save_checkpoint
 from repro.faults.stream import INERT_DAY_PLAN, compile_day_plan
 from repro.honeynet.collector import Collector
 from repro.stream.breaker import CLOSED, BreakerTransition
-from repro.stream.policy import StreamPolicy
+from repro.stream.policy import (
+    BREAKER_FAILURE_THRESHOLD,
+    BREAKER_MAX_BACKOFF_S,
+    BREAKER_RECOVERY_S,
+    HEARTBEAT_DEADLINE_S,
+    TICK_S,
+    StreamPolicy,
+)
 from repro.stream.queues import LEVEL_CRITICAL
 from repro.stream.supervisor import (
     MODE_ANALYSIS_DEFERRED,
@@ -74,6 +81,7 @@ from repro.stream.supervisor import (
     STAGE_INGEST,
     STAGES,
     BEAT_HARD,
+    DeadlinePolicy,
     ModeTransition,
     StreamSupervisor,
 )
@@ -234,11 +242,11 @@ class StreamSubstrate:
             self.supervisor = StreamSupervisor.build(
                 tree,
                 queue_capacity=policy.queue_capacity,
-                high_watermark=policy.effective_high_watermark,
-                failure_threshold=policy.breaker_failure_threshold,
-                recovery_s=policy.breaker_recovery_s,
-                max_backoff_s=policy.breaker_max_backoff_s,
-                heartbeat_policy=policy.heartbeat_policy(),
+                high_watermark=policy.high_watermark,
+                failure_threshold=BREAKER_FAILURE_THRESHOLD,
+                recovery_s=BREAKER_RECOVERY_S,
+                max_backoff_s=BREAKER_MAX_BACKOFF_S,
+                heartbeat_policy=DeadlinePolicy(hard_s=HEARTBEAT_DEADLINE_S),
             )
             self._sensor_ids = tuple(
                 sorted(
@@ -258,7 +266,6 @@ class StreamSubstrate:
             self.channel.deliver if self.supervisor is None else self._push
         )
         # virtual clock + per-day fault state
-        self._tick = policy.tick_s
         self._now = 0.0
         self._ordinal = 0
         self._event = 0
@@ -301,7 +308,7 @@ class StreamSubstrate:
             return False
         self._event += 1
         event = self._event
-        self._now += self._tick
+        self._now += TICK_S
         now = self._now
         day = self._ordinal
         if self._stall_at is not None and event >= self._stall_at:

@@ -22,7 +22,20 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from repro.faults.stream import StreamFaults
-from repro.stream.supervisor import DeadlinePolicy
+
+
+#: Virtual-time hard deadline for stage heartbeats, armed as a
+#: :class:`~repro.stream.supervisor.DeadlinePolicy` (soft at half).
+HEARTBEAT_DEADLINE_S = 8.0
+#: Per-stage circuit breaker: consecutive failures that trip it, and
+#: the seeded probe backoff base and cap (virtual seconds).
+BREAKER_FAILURE_THRESHOLD = 3
+BREAKER_RECOVERY_S = 4.0
+BREAKER_MAX_BACKOFF_S = 64.0
+#: Virtual seconds the stream clock advances per pushed event; all
+#: stall durations, skews and probe schedules are measured on this
+#: clock, never wall time.
+TICK_S = 0.05
 
 
 @dataclass(frozen=True)
@@ -32,90 +45,56 @@ class StreamPolicy:
     * ``supervised`` — False bypasses the supervision layer entirely
       (pure batch replay; required False path for ``run_simulation``'s
       serial engine, byte-identical and overhead-free).
-    * ``queue_capacity`` / ``high_watermark`` — the bounded inter-stage
-      queue; depth at the watermark raises backpressure level 1, a full
-      queue raises level 2 (critical) and escalates to shed-only.
-      ``high_watermark=None`` defaults to half the capacity.
-    * ``heartbeat_deadline_s`` — virtual-time hard deadline for stage
-      heartbeats, armed as a
-      :class:`~repro.stream.supervisor.DeadlinePolicy` (soft at half);
-      None disarms heartbeat supervision.
-    * ``breaker_*`` — per-stage circuit-breaker thresholds and the
-      seeded probe backoff base/cap.
-    * ``tick_s`` — virtual seconds the stream clock advances per pushed
-      event; all stall durations, skews and probe schedules are
-      measured on this clock, never wall time.
+    * ``queue_capacity`` — the bounded inter-stage queue; depth at the
+      high watermark (half the capacity) raises backpressure level 1, a
+      full queue raises level 2 (critical) and escalates to shed-only.
     * ``online_clustering`` — feed stored command sequences through an
       :class:`~repro.analysis.online.OnlineClusterer` in the analysis
       stage (observational; deferred while the ladder is degraded).
     * ``faults`` — the seeded stream fault domain
       (:class:`~repro.faults.stream.StreamFaults`); non-inert faults
       require ``supervised=True``.
+
+    Heartbeat deadline, breaker thresholds and clock tick are the
+    module constants above.
     """
 
     supervised: bool = True
     faults: StreamFaults = field(default_factory=StreamFaults)
     queue_capacity: int = 256
-    high_watermark: int | None = None
-    heartbeat_deadline_s: float | None = 8.0
-    breaker_failure_threshold: int = 3
-    breaker_recovery_s: float = 4.0
-    breaker_max_backoff_s: float = 64.0
-    tick_s: float = 0.05
     online_clustering: bool = False
 
     def __post_init__(self) -> None:
         if self.queue_capacity < 1:
             raise ValueError("queue_capacity must be at least 1")
-        if self.high_watermark is not None and not (
-            0 < self.high_watermark <= self.queue_capacity
-        ):
-            raise ValueError("high_watermark must be in (0, queue_capacity]")
-        if self.breaker_failure_threshold < 1:
-            raise ValueError("breaker_failure_threshold must be at least 1")
-        if self.breaker_recovery_s <= 0:
-            raise ValueError("breaker_recovery_s must be positive")
-        if self.breaker_max_backoff_s < self.breaker_recovery_s:
-            raise ValueError(
-                "breaker_max_backoff_s must be >= breaker_recovery_s"
-            )
-        if self.tick_s <= 0:
-            raise ValueError("tick_s must be positive")
         if not self.faults.inert and not self.supervised:
             raise ValueError(
                 "stream faults require a supervised stream policy"
             )
 
     @property
-    def effective_high_watermark(self) -> int:
-        if self.high_watermark is not None:
-            return self.high_watermark
+    def high_watermark(self) -> int:
         return max(1, self.queue_capacity // 2)
-
-    def heartbeat_policy(self) -> DeadlinePolicy | None:
-        return DeadlinePolicy.from_deadline(self.heartbeat_deadline_s)
 
     @classmethod
     def replay(cls) -> "StreamPolicy":
         """Batch replay: no supervision, no faults, no overhead."""
-        return cls(supervised=False, heartbeat_deadline_s=None)
+        return cls(supervised=False)
 
     @classmethod
-    def live(cls, **overrides) -> "StreamPolicy":
+    def live(cls) -> "StreamPolicy":
         """The supervised live-service defaults (fault-free)."""
-        return cls(**overrides)
+        return cls()
 
     @classmethod
-    def chaos(cls, **overrides) -> "StreamPolicy":
+    def chaos(cls) -> "StreamPolicy":
         """Supervised with the ``chaos`` fault preset and a shallow queue.
 
         The shallow queue makes consumer stalls reach the critical
         backpressure level at soak scale, so the full ladder — including
         shed-only — is exercised, not just analysis deferral.
         """
-        overrides.setdefault("faults", StreamFaults.from_name("chaos"))
-        overrides.setdefault("queue_capacity", 48)
-        return cls(**overrides)
+        return cls(faults=StreamFaults.from_name("chaos"), queue_capacity=48)
 
     @classmethod
     def from_name(cls, name: str) -> "StreamPolicy":

@@ -79,6 +79,23 @@ class TestCommands:
         payload = json.loads((tmp_path / "table_stats.json").read_text())
         assert payload["experiment_id"] == "table_stats"
 
+    def test_cluster_online_json(self, tmp_path, capsys, dataset):
+        path = tmp_path / "cluster.json"
+        code = main(["cluster", "--online", "--json", str(path)])
+        assert code == 0
+        payload = json.loads(path.read_text())
+        clustering = dataset.clustering()
+        assert payload["sessions"] == len(clustering.sessions)
+        assert payload["distinct_sequences"] == len(
+            {tuple(tokens) for tokens in clustering.tokens}
+        )
+        assert payload["chosen_k"] == clustering.selection.chosen_k
+        assert len(payload["clusters"]) == len(clustering.profiles)
+        assert payload["online"]["batch_k"] == clustering.result.k
+        assert 0.0 <= payload["online"]["pair_agreement"] <= 1.0
+        assert "mode" not in payload
+        assert "online replay" in capsys.readouterr().out
+
     def test_export_csv(self, tmp_path, dataset):
         code = main(
             [

@@ -1,13 +1,13 @@
-"""Differential oracle suite: exact vs LSH clustering, online vs batch.
+"""Differential oracle suite: serial vs pooled matrices, online vs batch.
 
-The exact pipeline is the oracle; every pruned or incremental path is
+The exact pipeline is the oracle; every pooled or incremental path is
 pinned against it:
 
-* ``mode="lsh"`` reproduces the exact-mode distance matrix, cluster
-  labels, medoid sets and the Figure 5/6/14 artifact digests
-  bit-identically at paper scale, across the {none, paper, stress}
-  fault profiles and across {serial, 2 workers} — the activation-floor
-  contract of :mod:`repro.analysis.sketch` made observable.
+* The paper-scale distance matrix sits below the sketch activation
+  floor, so every pair is measured: the clustering reports one
+  below-floor build, and the matrix is bit-identical at {serial, 2
+  workers} across the {none, paper, stress} fault profiles, both with
+  every pair measured and with the floor forced to zero (pruned).
 * The online assign-or-spawn clusterer replays the batch sample as a
   stream; its divergence from the batch K-medoids labels is pinned
   with a committed golden (pair agreement ≥ the floor, exact golden
@@ -23,14 +23,10 @@ from tests.conftest import PROFILES, short_fault_config
 from repro import telemetry
 from repro.analysis.distance import distance_matrix
 from repro.analysis.online import OnlineClusterer, pair_agreement
+from repro.analysis.sketch import DEFAULT_SKETCH_CONFIG, SketchConfig
 from repro.experiments.dataset import Dataset, build_dataset
-from repro.experiments.runner import load_all_experiments
-from repro.util.hashing import sha256_hex
 
 pytestmark = pytest.mark.cluster
-
-#: Figures whose artifacts depend on the distance pipeline.
-DISTANCE_FIGURES = ("fig05", "fig06", "fig14")
 
 #: Committed golden for the online replay over the shared paper-scale
 #: dataset (seed 7): the incremental clusterer's divergence from the
@@ -40,17 +36,6 @@ ONLINE_GOLDEN = {"clusters": 20, "agreement": 0.9579}
 #: Floor on online-vs-batch pair agreement (Rand index) — applies to
 #: every profile, not just the golden dataset.
 ONLINE_AGREEMENT_FLOOR = 0.80
-
-
-def lsh_sibling(dataset: Dataset) -> Dataset:
-    """A dataset sharing the simulation but clustering in LSH mode."""
-    return Dataset(
-        simulation=dataset.simulation,
-        abuse=dataset.abuse,
-        killnet_ips=dataset.killnet_ips,
-        shadowserver=dataset.shadowserver,
-        cluster_mode="lsh",
-    )
 
 
 @pytest.fixture(scope="module")
@@ -63,73 +48,46 @@ def profile_datasets():
 
 
 class TestExactVsLsh:
-    @pytest.mark.parametrize("profile", PROFILES)
-    def test_matrix_labels_medoids_identical(self, profile_datasets, profile):
-        ds = profile_datasets[profile]
-        exact = ds.clustering(mode="exact")
-        lsh = ds.clustering(mode="lsh")
-        assert np.array_equal(exact.matrix, lsh.matrix)
-        assert np.array_equal(exact.result.labels, lsh.result.labels)
-        assert exact.result.medoids == lsh.result.medoids
-        assert exact.selection.chosen_k == lsh.selection.chosen_k
-        # paper scale sits below the activation floor: nothing pruned
-        assert lsh.approx is not None
-        assert lsh.approx.exact
-        assert lsh.approx.pruned_pairs == 0
-
-    @pytest.mark.parametrize("profile", PROFILES)
-    def test_figure_digests_identical(self, profile_datasets, profile):
-        from repro.experiments.base import get_experiment
-
-        load_all_experiments()
-        ds = profile_datasets[profile]
-        sibling = lsh_sibling(ds)
-        for experiment_id in DISTANCE_FIGURES:
-            experiment = get_experiment(experiment_id)
-            exact_digest = sha256_hex(experiment.run(ds).to_json())
-            lsh_digest = sha256_hex(experiment.run(sibling).to_json())
-            assert exact_digest == lsh_digest, (
-                f"{experiment_id} digest diverged under mode=lsh "
-                f"(profile {profile})"
-            )
-
-    def test_figure_digests_identical_paper_scale(self, dataset):
-        from repro.experiments.base import get_experiment
-
-        load_all_experiments()
-        sibling = lsh_sibling(dataset)
-        for experiment_id in DISTANCE_FIGURES:
-            experiment = get_experiment(experiment_id)
-            assert sha256_hex(experiment.run(dataset).to_json()) == (
-                sha256_hex(experiment.run(sibling).to_json())
-            ), f"{experiment_id} digest diverged under mode=lsh"
+    """The input size picks the regime: paper scale is below the floor."""
 
     def test_lsh_clustering_reports_bypass_telemetry(self, dataset):
-        sibling = lsh_sibling(dataset)
+        fresh = Dataset(
+            simulation=dataset.simulation,
+            abuse=dataset.abuse,
+            killnet_ips=dataset.killnet_ips,
+            shadowserver=dataset.shadowserver,
+        )
         with telemetry.collecting() as registry:
-            clustering = sibling.clustering()
-        assert clustering.mode == "lsh"
+            fresh.clustering()
         assert registry.counters["sketch.bypassed"] == 1
+
+
+#: The two matrix regimes: the default floor measures every pair at
+#: these sizes; a zero floor forces the MinHash/LSH pruned path.
+REGIMES = {
+    "exact": DEFAULT_SKETCH_CONFIG,
+    "lsh": SketchConfig(min_sequences=0),
+}
 
 
 class TestSerialVsWorkers:
     @pytest.mark.parametrize("profile", PROFILES)
-    @pytest.mark.parametrize("mode", ("exact", "lsh"))
+    @pytest.mark.parametrize("regime", tuple(REGIMES))
     def test_matrix_identical_at_two_workers(
-        self, profile_datasets, profile, mode
+        self, profile_datasets, profile, regime
     ):
         tokens = profile_datasets[profile].clustering().tokens
-        serial = distance_matrix(tokens, workers=1, mode=mode)
-        parallel = distance_matrix(tokens, workers=2, mode=mode)
+        sketch = REGIMES[regime]
+        serial = distance_matrix(tokens, workers=1, sketch=sketch)
+        parallel = distance_matrix(tokens, workers=2, sketch=sketch)
         assert np.array_equal(serial, parallel)
 
     def test_paper_scale_matrix_identical_at_two_workers(self, dataset):
         tokens = dataset.clustering().tokens
-        for mode in ("exact", "lsh"):
-            serial = distance_matrix(tokens, workers=1, mode=mode)
-            parallel = distance_matrix(tokens, workers=2, mode=mode)
-            assert np.array_equal(serial, parallel)
-            assert np.array_equal(serial, dataset.clustering().matrix)
+        serial = distance_matrix(tokens, workers=1)
+        parallel = distance_matrix(tokens, workers=2)
+        assert np.array_equal(serial, parallel)
+        assert np.array_equal(serial, dataset.clustering().matrix)
 
 
 class TestOnlineReplay:

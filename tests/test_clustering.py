@@ -102,6 +102,34 @@ class TestTokenizerCacheKeying:
         other = _cached_pair_distance.cache_info()
         assert other.misses == hit.misses + 1  # distinct entry, no hit
 
+    def test_pruned_matrix_keys_every_pair_by_its_tokenizer(self, monkeypatch):
+        from repro import telemetry
+        from repro.analysis import distance
+        from repro.analysis.sketch import SketchConfig, synthetic_token_corpus
+        from repro.analysis.tokenizer import RAW_TOKENIZER
+
+        distance.clear_distance_caches()
+        original = distance._cached_pair_distance
+        fingerprints: list[str] = []
+
+        def spy(fingerprint, a, b):
+            fingerprints.append(fingerprint)
+            return original(fingerprint, a, b)
+
+        monkeypatch.setattr(distance, "_cached_pair_distance", spy)
+        corpus = synthetic_token_corpus(120, seed=5)
+        with telemetry.collecting() as registry:
+            distance_matrix(
+                corpus,
+                sketch=SketchConfig(min_sequences=0),
+                tokenizer=RAW_TOKENIZER,
+            )
+        counters = registry.counters
+        assert counters["dld.matrix_builds"] == 1
+        assert counters["sketch.matrix_builds"] == 1
+        assert 0 < len(fingerprints) < 120 * 119 // 2
+        assert set(fingerprints) == {RAW_TOKENIZER.fingerprint}
+
     def test_fingerprint_covers_the_knobs(self):
         from repro.analysis.tokenizer import DEFAULT_TOKENIZER, RAW_TOKENIZER, TokenizerConfig
 

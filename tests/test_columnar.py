@@ -407,12 +407,6 @@ class TestBenchFloors:
         violations = check_bench_floors(self._report(overhead=6.3))
         assert violations and "6.30%" in violations[0]
 
-    def test_custom_floors(self):
-        report = self._report(speedup=1.5, overhead=4.0)
-        assert check_bench_floors(report, speedup_floor=1.4) == []
-        assert check_bench_floors(report, speedup_floor=1.6)
-        assert check_bench_floors(report, telemetry_bar_pct=3.0)
-
     def test_both_floors_can_fail_together(self):
         violations = check_bench_floors(
             self._report(speedup=0.9, overhead=9.9)

@@ -19,7 +19,7 @@ from repro.analysis.distance import clear_distance_caches, distance_matrix
 from repro.analysis.dld import damerau_levenshtein, dld_bounds, normalized_dld
 from repro.analysis.kmedoids import kmedoids, silhouette_score
 from repro.honeypot.fs import FakeFilesystem
-from repro.parallel.distance import chunk_spans, pair_at, row_offsets
+from repro.parallel.distance import chunk_spans
 
 
 def reference_dld(a: tuple[str, ...], b: tuple[str, ...]) -> int:
@@ -126,19 +126,8 @@ class TestDldMetricProperties:
         )
 
 
-_matrix_sizes = st.integers(min_value=0, max_value=40)
-
-
 class TestChunkGeometry:
-    """The linear-index ↔ (i, j) mapping behind the chunked matrix."""
-
-    @given(_matrix_sizes)
-    @settings(max_examples=100)
-    def test_pair_at_enumerates_upper_triangle_in_order(self, m):
-        offsets = row_offsets(m)
-        total = m * (m - 1) // 2
-        expected = [(i, j) for i in range(m) for j in range(i + 1, m)]
-        assert [pair_at(k, offsets) for k in range(total)] == expected
+    """The pair-range slicing behind the chunked DLD pool."""
 
     @given(
         st.integers(min_value=0, max_value=10_000),

@@ -249,27 +249,36 @@ class TestSketchMatrixContract:
         corpus = synthetic_token_corpus(80, seed=1)
         exact = distance_matrix(corpus)
         approx = sketch_distance_matrix(corpus, DEFAULT_SKETCH_CONFIG)
-        assert approx.mode == "exact"
         assert approx.exact
         assert not approx.pruned.any()
         assert np.array_equal(exact, approx.values)
 
-    def test_distance_matrix_lsh_mode_below_floor_identical(self):
-        corpus = synthetic_token_corpus(60, seed=2)
-        assert np.array_equal(
-            distance_matrix(corpus), distance_matrix(corpus, mode="lsh")
-        )
-
-    def test_distance_matrix_rejects_unknown_mode(self):
-        with pytest.raises(ValueError):
-            distance_matrix([["a"]], mode="fuzzy")
+    def test_distance_matrix_prunes_exactly_at_the_floor(self):
+        corpus = synthetic_token_corpus(200, seed=2)
+        exact = distance_matrix(corpus)
+        at_floor = SketchConfig(min_sequences=200)
+        with telemetry.collecting() as registry:
+            pruned = distance_matrix(corpus, sketch=at_floor)
+        assert registry.counters["sketch.matrix_builds"] == 1
+        assert "sketch.bypassed" not in registry.counters
+        mask = sketch_distance_matrix(corpus, at_floor).pruned
+        assert mask.any()
+        assert np.array_equal(pruned[~mask], exact[~mask])
+        assert np.all(pruned[mask] == PRUNED_DISTANCE)
+        above = SketchConfig(min_sequences=201)
+        with telemetry.collecting() as registry:
+            unpruned = distance_matrix(corpus, sketch=above)
+        assert registry.counters["sketch.bypassed"] == 1
+        assert "sketch.signatures" not in registry.counters
+        assert np.array_equal(unpruned, exact)
+        assert sketch_distance_matrix(corpus, above).exact
 
     def test_forced_floor_measured_entries_equal_exact(self):
         corpus = synthetic_token_corpus(200, seed=3)
         config = SketchConfig(min_sequences=0)
         approx = sketch_distance_matrix(corpus, config)
         exact = distance_matrix(corpus)
-        assert approx.mode == "lsh"
+        assert not approx.exact
         assert approx.pruned_pairs > 0
         measured = ~approx.pruned
         assert np.array_equal(approx.values[measured], exact[measured])
