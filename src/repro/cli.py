@@ -479,499 +479,85 @@ def cmd_telemetry(args: argparse.Namespace) -> int:
     return 0
 
 
-#: Regression floors for ``repro bench --enforce``.
-SPEEDUP_FLOOR = 1.8
-TELEMETRY_BAR_PCT = 5.0
-#: Floors for the sketch-prefilter scenario (single-process pruning
-#: wins, so they apply at any core count): the pruned matrix must beat
-#: the extrapolated exact build ≥5×, keep the candidate ratio under
-#: 0.25, and retain ≥95% of the DLD-close pairs in the measured set.
-SKETCH_SPEEDUP_FLOOR = 5.0
-SKETCH_RATIO_BAR = 0.25
-SKETCH_RECALL_FLOOR = 0.95
-#: Floors for the query-service scenario: repeated-query load must hit
-#: the read-through cache at least this often, and no request may go
-#: unserved (outside the ok/rejected/stale contract) while a snapshot
-#: exists — in any service scenario, breaker-open included.
-SERVICE_CACHE_FLOOR = 0.9
-
-
-def check_bench_floors(report: dict) -> list[str]:
-    """Regression-floor violations in a bench report (empty = healthy).
-
-    Floors guard the perf trajectory: parallel day-loop speedup at the
-    benched worker count, telemetry overhead on the serial engine, and
-    — when the report has a ``sketch`` block — the LSH prefilter's
-    speedup, candidate ratio and close-pair recall.  The day-loop
-    speedup floor only applies on multi-core machines — on a single
-    core, parallel execution cannot beat serial by construction, so the
-    floor would only measure the box, not the code.  The telemetry bar
-    and the sketch floors apply everywhere (pruning wins are
-    single-process).
-    """
-    violations: list[str] = []
-    day = report.get("day_loop", {})
-    if (report.get("cpu_count") or 1) >= 2:
-        speedup = day.get("speedup", 0.0)
-        if speedup < SPEEDUP_FLOOR:
-            violations.append(
-                f"day-loop speedup {speedup:.2f}x at "
-                f"{report.get('workers')} workers is below the "
-                f"{SPEEDUP_FLOOR:.2f}x floor"
-            )
-    overhead = report.get("telemetry", {}).get("overhead_pct", 0.0)
-    if overhead > TELEMETRY_BAR_PCT:
-        violations.append(
-            f"telemetry overhead {overhead:.2f}% exceeds the "
-            f"{TELEMETRY_BAR_PCT:.2f}% bar"
-        )
-    sketch = report.get("sketch")
-    if sketch:
-        speedup = sketch.get("speedup", 0.0)
-        if speedup < SKETCH_SPEEDUP_FLOOR:
-            violations.append(
-                f"sketch speedup {speedup:.2f}x at "
-                f"{sketch.get('distinct_sequences')} distinct sequences "
-                f"is below the {SKETCH_SPEEDUP_FLOOR:.2f}x floor"
-            )
-        ratio = sketch.get("candidate_ratio", 0.0)
-        if ratio >= SKETCH_RATIO_BAR:
-            violations.append(
-                f"sketch candidate ratio {ratio:.4f} is not below the "
-                f"{SKETCH_RATIO_BAR:.2f} bar"
-            )
-        recall = sketch.get("close_pair_recall", 1.0)
-        if recall < SKETCH_RECALL_FLOOR:
-            violations.append(
-                f"sketch close-pair recall {recall:.4f} is below the "
-                f"{SKETCH_RECALL_FLOOR:.2f} floor"
-            )
-    service = report.get("service")
-    if service:
-        ratio = service.get("repeated", {}).get("cache_hit_ratio", 1.0)
-        if ratio < SERVICE_CACHE_FLOOR:
-            violations.append(
-                f"service cache hit ratio {ratio:.4f} on repeated-query "
-                f"load is below the {SERVICE_CACHE_FLOOR:.2f} floor"
-            )
-        for scenario in ("repeated", "breaker_open"):
-            unserved = service.get(scenario, {}).get("unserved", 0)
-            if unserved:
-                violations.append(
-                    f"service scenario {scenario!r} left {unserved} "
-                    "requests unserved (outside the ok/rejected/stale "
-                    "contract)"
-                )
-    return violations
-
-
-def _sketch_bench(args, config, best_of) -> dict:
-    """The sketch-prefilter bench block (see ``repro bench --help``).
-
-    Builds the LSH-pruned matrix over ``--sketch-sample`` distinct
-    synthetic sequences (the floor-forced pruned regime — at this size
-    the full exact build would dominate the bench, which is the point),
-    then *extrapolates* the exact build time from a seeded sample of
-    pairs timed through the same ``pair_distance``.  Recall is measured
-    on the sampled pairs: of those whose exact distance is ≤ the close
-    threshold, how many did the prefilter keep.
-    """
-    import random
-    import time
-
-    from repro.analysis.distance import clear_distance_caches, pair_distance
-    from repro.analysis.sketch import (
-        SketchConfig,
-        clear_sketch_caches,
-        sketch_distance_matrix,
-        synthetic_token_corpus,
-    )
-
-    n = args.sketch_sample
-    close_threshold = 0.3
-    pair_sample_target = 30_000
-    corpus = synthetic_token_corpus(n, seed=config.seed)
-    keys = [tuple(sequence) for sequence in corpus]
-    sketch_config = SketchConfig(min_sequences=0)
-
-    def build():
-        clear_distance_caches()
-        clear_sketch_caches()
-        return sketch_distance_matrix(corpus, sketch_config)
-
-    approx, sketch_s = best_of(build, args.repeat)
-    total_pairs = n * (n - 1) // 2
-
-    rng = random.Random(config.seed)
-    sample = sorted(
-        {
-            (min(i, j), max(i, j))
-            for i, j in (
-                (rng.randrange(n), rng.randrange(n))
-                for _ in range(pair_sample_target)
-            )
-            if i != j
-        }
-    )
-    clear_distance_caches()
-    started = time.perf_counter()
-    exact_values = [pair_distance(keys[i], keys[j]) for i, j in sample]
-    sample_s = time.perf_counter() - started
-    per_pair_s = sample_s / len(sample)
-    exact_estimated_s = per_pair_s * total_pairs
-
-    close = [
-        (i, j)
-        for (i, j), value in zip(sample, exact_values)
-        if value <= close_threshold
-    ]
-    kept = sum(1 for i, j in close if not approx.pruned[i, j])
-    recall = kept / len(close) if close else 1.0
-
-    return {
-        "distinct_sequences": n,
-        "pairs": total_pairs,
-        "num_perm": sketch_config.num_perm,
-        "bands": sketch_config.bands,
-        "shingle_size": sketch_config.shingle_size,
-        "candidate_pairs": approx.candidate_pairs,
-        "pruned_pairs": approx.pruned_pairs,
-        "candidate_ratio": round(approx.candidate_ratio, 4),
-        "sketch_s": round(sketch_s, 4),
-        "sampled_pairs": len(sample),
-        "exact_estimated_s": round(exact_estimated_s, 4),
-        "speedup": round(exact_estimated_s / sketch_s, 3),
-        "close_threshold": close_threshold,
-        "close_pairs_sampled": len(close),
-        "close_pair_recall": round(recall, 4),
-    }
-
-
-def _service_bench(serial_result, config) -> dict:
-    """The query-service bench block (see ``repro bench --help``).
-
-    Exports the serial run to a temporary indexed store and drives two
-    seeded load scenarios against a store-backed service: repeated-query
-    load (throughput + cache hit ratio — the read-through LRU's floor)
-    and the breaker-open profile (stale-serve rate while the service↔
-    store breaker degrades to the last-good snapshot).  Both scenarios
-    record ``unserved``, which must be 0: every request resolves inside
-    the ok/rejected/stale contract.
-    """
-    import tempfile
-    import time
-
-    from repro.attackers.orchestrator import _export_store
-    from repro.faults.service import ServiceFaults
-    from repro.service import (
-        QueryService,
-        ServiceLoadModel,
-        run_load_test,
-    )
-    from repro.store import SqliteStore, index_path_for
-
-    def scenario(index, profile, **model_kwargs):
-        store = SqliteStore.open(index, read_only=True)
-        try:
-            service = QueryService(store=store, seed=config.seed)
-            model = ServiceLoadModel(
-                seed=config.seed,
-                faults=ServiceFaults.from_name(profile),
-                **model_kwargs,
-            )
-            started = time.perf_counter()
-            report = run_load_test(service, model)
-            wall_s = time.perf_counter() - started
-            return report, wall_s, service
-        finally:
-            store.close()
-
-    with tempfile.TemporaryDirectory(prefix="repro-bench-service-") as tmp:
-        store_dir = Path(tmp)
-        _export_store(serial_result, store_dir)
-        index = index_path_for(store_dir)
-        repeated, repeated_s, _ = scenario(
-            index, "off", ticks=20, requests_per_tick=32
-        )
-        breaker, breaker_s, service = scenario(
-            index, "breaker", ticks=20, requests_per_tick=8
-        )
-    return {
-        "snapshot_sessions": len(serial_result.database),
-        "repeated": {
-            "requests": repeated.total,
-            "wall_s": round(repeated_s, 4),
-            "requests_per_s": round(repeated.total / repeated_s, 1),
-            "cache_hit_ratio": round(repeated.cache_hit_ratio, 4),
-            "ok": repeated.ok,
-            "rejected": sum(repeated.rejected.values()),
-            "unserved": repeated.unserved,
-        },
-        "breaker_open": {
-            "requests": breaker.total,
-            "wall_s": round(breaker_s, 4),
-            "stale_served": breaker.stale,
-            "stale_rate": round(breaker.stale_rate, 4),
-            "breaker_trips": service.breaker.trips,
-            "unserved": breaker.unserved,
-        },
-    }
-
-
 def cmd_bench(args: argparse.Namespace) -> int:
-    """Time serial vs N-worker execution of both parallel stages.
+    """Time serial vs N-worker execution (see :mod:`repro.bench`).
 
-    Records wall-clock for the simulation day-loop and for the DLD
-    distance matrix, serial vs ``--workers`` processes, and verifies
-    digest/bit equality between the two runs while at it.  With
-    ``--json PATH`` the numbers land in a machine-readable file.  With
-    ``--enforce`` the run additionally fails on regression-floor
-    violations (:func:`check_bench_floors`) — the CI smoke runs this
-    so a speedup or telemetry-overhead regression breaks the build.
+    Prints the report, writes it with ``--json PATH``, and exits 1 when
+    a serial-vs-parallel or telemetry comparison mismatched, or — with
+    ``--enforce``, as the CI smokes run it — when a regression floor
+    (:data:`repro.bench.FLOORS`) is violated.
     """
     import json
-    import os
-    import time
 
-    import numpy as np
+    from repro import bench
 
-    from repro.analysis.distance import (
-        clear_distance_caches,
-        distance_matrix,
-        sample_sessions,
-        session_tokens,
+    report = bench.build_report(
+        _config(args),
+        workers=args.workers,
+        repeat=args.repeat,
+        dld_sample=args.dld_sample,
+        sketch_sample=args.sketch_sample,
+        sketch_only=args.sketch_only,
+        enforce=args.enforce,
     )
-    from repro.attackers.orchestrator import run_simulation
-
-    workers = max(2, args.workers)
-    config = _config(args).replace(workers=1)
-
-    def best_of(fn, repeat):
-        elapsed = []
-        value = None
-        for _ in range(repeat):
-            started = time.perf_counter()
-            value = fn()
-            elapsed.append(time.perf_counter() - started)
-        return value, min(elapsed)
-
-    if args.sketch_only:
-        # The cluster-differential CI smoke: only the sketch scenario,
-        # with its floors enforceable, no simulation runs.
-        report = {
-            "workers": workers,
-            "cpu_count": os.cpu_count(),
-            "scale": config.scale,
-            "seed": config.seed,
-            "fault_profile": config.faults.name,
-            "repeat": args.repeat,
-            "sketch": _sketch_bench(args, config, best_of),
-        }
-        violations = check_bench_floors(report)
-        report["enforcement"] = {
-            "enforced": bool(args.enforce),
-            "sketch_speedup_floor": SKETCH_SPEEDUP_FLOOR,
-            "sketch_ratio_bar": SKETCH_RATIO_BAR,
-            "sketch_recall_floor": SKETCH_RECALL_FLOOR,
-            "violations": violations,
-        }
-        _print_sketch_bench(report["sketch"])
-        for violation in violations:
-            marker = "FAIL" if args.enforce else "warn"
-            print(f"{marker}: {violation}")
-        if args.json is not None:
-            args.json.write_text(json.dumps(report, indent=2) + "\n")
-            print(f"wrote {args.json}")
-        return 1 if args.enforce and violations else 0
-
-    # Serial runs are interleaved telemetry-off / telemetry-on so the
-    # overhead comparison is robust against machine drift between
-    # timing blocks (the issue's acceptance bar is < 5% on the serial
-    # engine; single-shot CI timings only record the number).
-    from repro import telemetry
-
-    def run_instrumented():
-        with telemetry.collecting():
-            return run_simulation(config)
-
-    serial_times: list[float] = []
-    telemetry_times: list[float] = []
-    for _ in range(args.repeat):
-        serial_result, elapsed = best_of(lambda: run_simulation(config), 1)
-        serial_times.append(elapsed)
-        telemetry_result, elapsed = best_of(run_instrumented, 1)
-        telemetry_times.append(elapsed)
-    serial_day_s = min(serial_times)
-    telemetry_day_s = min(telemetry_times)
-    telemetry_match = (
-        serial_result.database.digest() == telemetry_result.database.digest()
-    )
-    telemetry_overhead = telemetry_day_s / serial_day_s - 1.0
-
-    parallel_result, parallel_day_s = best_of(
-        lambda: run_simulation(config, workers=workers), args.repeat
-    )
-    digest_match = (
-        serial_result.database.digest() == parallel_result.database.digest()
-    )
-
-    sessions = sample_sessions(
-        serial_result.database.command_sessions(),
-        args.dld_sample,
-        seed=config.seed,
-    )
-    clear_distance_caches()
-    tokens = session_tokens(sessions)
-    distinct = len({tuple(sequence) for sequence in tokens})
-
-    def timed_matrix(n_workers):
-        def build():
-            clear_distance_caches()
-            return distance_matrix(tokens, workers=n_workers)
-
-        return best_of(build, args.repeat)
-
-    serial_matrix, serial_dld_s = timed_matrix(1)
-    parallel_matrix, parallel_dld_s = timed_matrix(workers)
-    matrix_match = bool(np.array_equal(serial_matrix, parallel_matrix))
-
-    # Flood scenario: the same window under the burst flood preset —
-    # serial vs parallel (shed-path cost relative to the quiet runs
-    # above).
-    import dataclasses as _dataclasses
-
-    flood_config = config.replace(
-        faults=_dataclasses.replace(
-            config.faults, flood=FloodFaults.from_name("burst")
-        )
-    )
-    flood_serial, flood_serial_s = best_of(
-        lambda: run_simulation(flood_config), args.repeat
-    )
-    flood_parallel, flood_parallel_s = best_of(
-        lambda: run_simulation(flood_config, workers=workers), args.repeat
-    )
-    flood_match = (
-        flood_serial.database.digest() == flood_parallel.database.digest()
-    )
-    flood_accounting = flood_serial.collector.accounting()
-    flood_generated = flood_accounting["generated"]
-
-    report = {
-        "workers": workers,
-        "cpu_count": os.cpu_count(),
-        "scale": config.scale,
-        "seed": config.seed,
-        "fault_profile": config.faults.name,
-        "repeat": args.repeat,
-        "sessions": len(serial_result.database),
-        "day_loop": {
-            "serial_s": round(serial_day_s, 4),
-            "parallel_s": round(parallel_day_s, 4),
-            "speedup": round(serial_day_s / parallel_day_s, 3),
-            "digest_match": digest_match,
-        },
-        "telemetry": {
-            "off_s": round(serial_day_s, 4),
-            "on_s": round(telemetry_day_s, 4),
-            "overhead_pct": round(telemetry_overhead * 100, 2),
-            "digest_match": telemetry_match,
-        },
-        "dld_matrix": {
-            "sequences": len(tokens),
-            "distinct_sequences": distinct,
-            "pairs": distinct * (distinct - 1) // 2,
-            "serial_s": round(serial_dld_s, 4),
-            "parallel_s": round(parallel_dld_s, 4),
-            "speedup": round(serial_dld_s / parallel_dld_s, 3),
-            "matrix_match": matrix_match,
-        },
-        "flood": {
-            "profile": "burst",
-            "serial_s": round(flood_serial_s, 4),
-            "parallel_s": round(flood_parallel_s, 4),
-            "generated": flood_generated,
-            "admitted": flood_accounting["admitted"],
-            "deferred": flood_accounting["deferred"],
-            "shed": flood_accounting["shed"],
-            "shed_fraction": round(
-                flood_accounting["shed"] / max(flood_generated, 1), 4
-            ),
-            "shed_path_overhead_pct": round(
-                (flood_serial_s / serial_day_s - 1.0) * 100, 2
-            ),
-            "digest_match": flood_match,
-        },
-    }
-    if args.sketch_sample > 0:
-        report["sketch"] = _sketch_bench(args, config, best_of)
-    report["service"] = _service_bench(serial_result, config)
-    violations = check_bench_floors(report)
-    report["enforcement"] = {
-        "enforced": bool(args.enforce),
-        "speedup_floor": SPEEDUP_FLOOR,
-        "speedup_floor_applies": (report["cpu_count"] or 1) >= 2,
-        "telemetry_bar_pct": TELEMETRY_BAR_PCT,
-        "sketch_speedup_floor": SKETCH_SPEEDUP_FLOOR,
-        "sketch_ratio_bar": SKETCH_RATIO_BAR,
-        "sketch_recall_floor": SKETCH_RECALL_FLOOR,
-        "service_cache_floor": SERVICE_CACHE_FLOOR,
-        "violations": violations,
-    }
-    print(f"== bench: serial vs {workers} workers ==")
-    print(
-        f"day-loop:   {serial_day_s:.3f}s -> {parallel_day_s:.3f}s "
-        f"({report['day_loop']['speedup']:.2f}x, digest match: {digest_match})"
-    )
-    print(
-        f"DLD matrix: {serial_dld_s:.3f}s -> {parallel_dld_s:.3f}s "
-        f"({report['dld_matrix']['speedup']:.2f}x, "
-        f"{report['dld_matrix']['pairs']} pairs, "
-        f"bit-identical: {matrix_match})"
-    )
-    print(
-        f"telemetry:  {serial_day_s:.3f}s -> {telemetry_day_s:.3f}s "
-        f"({telemetry_overhead:+.1%} overhead, "
-        f"digest match: {telemetry_match})"
-    )
-    print(
-        f"flood:      {flood_serial_s:.3f}s serial, "
-        f"{flood_parallel_s:.3f}s parallel "
-        f"({flood_accounting['shed']} shed of {flood_generated}, "
-        f"digest match: {flood_match})"
-    )
-    if "sketch" in report:
-        _print_sketch_bench(report["sketch"])
-    service = report["service"]
-    print(
-        f"service:    {service['repeated']['requests_per_s']:.0f} req/s on "
-        f"repeated-query load (cache hit ratio "
-        f"{service['repeated']['cache_hit_ratio']:.3f}); breaker-open: "
-        f"{service['breaker_open']['stale_served']} stale-served, "
-        f"{service['breaker_open']['unserved']} unserved"
-    )
+    _print_bench(report)
+    violations = report["enforcement"]["violations"]
     for violation in violations:
-        marker = "FAIL" if args.enforce else "warn"
-        print(f"{marker}: {violation}")
+        print(f"{'FAIL' if args.enforce else 'warn'}: {violation}")
     if args.json is not None:
         args.json.write_text(json.dumps(report, indent=2) + "\n")
         print(f"wrote {args.json}")
-    healthy = digest_match and matrix_match and telemetry_match and flood_match
     if args.enforce and violations:
         return 1
-    return 0 if healthy else 1
+    return 0 if bench.equivalent(report) else 1
 
 
-def _print_sketch_bench(sketch: dict) -> None:
-    print(
-        f"sketch:     {sketch['sketch_s']:.3f}s pruned vs "
-        f"{sketch['exact_estimated_s']:.3f}s exact (extrapolated from "
-        f"{sketch['sampled_pairs']} sampled pairs) = "
-        f"{sketch['speedup']:.2f}x at {sketch['distinct_sequences']} "
-        f"distinct; candidate ratio {sketch['candidate_ratio']:.4f}, "
-        f"close-pair recall {sketch['close_pair_recall']:.4f} "
-        f"(d <= {sketch['close_threshold']})"
-    )
+def _print_bench(report: dict) -> None:
+    if "day_loop" in report:
+        day, dld = report["day_loop"], report["dld_matrix"]
+        tel, flood = report["telemetry"], report["flood"]
+        print(f"== bench: serial vs {report['workers']} workers ==")
+        print(
+            f"day-loop:   {day['serial_s']:.3f}s -> {day['parallel_s']:.3f}s "
+            f"({day['speedup']:.2f}x, digest match: {day['digest_match']})"
+        )
+        print(
+            f"DLD matrix: {dld['serial_s']:.3f}s -> {dld['parallel_s']:.3f}s "
+            f"({dld['speedup']:.2f}x, {dld['pairs']} pairs, "
+            f"bit-identical: {dld['matrix_match']})"
+        )
+        print(
+            f"telemetry:  {tel['off_s']:.3f}s -> {tel['on_s']:.3f}s "
+            f"({tel['overhead_pct']:+.1f}% overhead, "
+            f"digest match: {tel['digest_match']})"
+        )
+        print(
+            f"flood:      {flood['serial_s']:.3f}s serial, "
+            f"{flood['parallel_s']:.3f}s parallel "
+            f"({flood['shed']} shed of {flood['generated']}, "
+            f"digest match: {flood['digest_match']})"
+        )
+    if "sketch" in report:
+        sketch = report["sketch"]
+        print(
+            f"sketch:     {sketch['sketch_s']:.3f}s pruned vs "
+            f"{sketch['exact_estimated_s']:.3f}s exact (extrapolated from "
+            f"{sketch['sampled_pairs']} sampled pairs) = "
+            f"{sketch['speedup']:.2f}x at {sketch['distinct_sequences']} "
+            f"distinct; candidate ratio {sketch['candidate_ratio']:.4f}, "
+            f"close-pair recall {sketch['close_pair_recall']:.4f} "
+            f"(d <= {sketch['close_threshold']})"
+        )
+    if "service" in report:
+        repeated = report["service"]["repeated"]
+        breaker = report["service"]["breaker_open"]
+        print(
+            f"service:    {repeated['requests_per_s']:.0f} req/s on "
+            f"repeated-query load (cache hit ratio "
+            f"{repeated['cache_hit_ratio']:.3f}); breaker-open: "
+            f"{breaker['stale_served']} stale-served, "
+            f"{breaker['unserved']} unserved"
+        )
 
 
 def cmd_cluster(args: argparse.Namespace) -> int:

@@ -145,5 +145,5 @@ PAPER = PaperNumbers()
 #: Default configuration used by tests and the quickstart example.
 DEFAULT_CONFIG = SimulationConfig()
 
-#: Larger configuration used by the benchmark harness.
+#: Larger configuration ``repro report`` defaults to.
 BENCH_CONFIG = SimulationConfig(scale=1e-4)

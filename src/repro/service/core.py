@@ -67,6 +67,14 @@ KINDS = (KIND_STATUS, KIND_AGGREGATE, KIND_COUNT, KIND_COUNT_BY, KIND_DISTINCT)
 #: Columns ``count_by`` / ``distinct`` may group on (mirrors the store).
 GROUPABLE = INDEX_COLUMNS + ("session_id", "source")
 
+#: Virtual seconds the service clock advances per handled request.
+TICK_S = 0.05
+#: The service↔store circuit breaker: consecutive store failures that
+#: trip it, and the seeded probe backoff base and cap (virtual seconds).
+BREAKER_FAILURE_THRESHOLD = 3
+BREAKER_RECOVERY_S = 4.0
+BREAKER_MAX_BACKOFF_S = 64.0
+
 #: Response outcomes — the whole contract.
 OUTCOME_OK = "ok"
 OUTCOME_REJECTED = "rejected"
@@ -78,9 +86,11 @@ OUTCOMES = (OUTCOME_OK, OUTCOME_REJECTED, OUTCOME_STALE)
 class ServicePolicy:
     """Every knob of the overload ladder, in one frozen value.
 
-    A load test is a pure function of ``(seed, config, policy)``; the
-    policy is this object plus the :class:`ServiceFaults` the load
-    model drives, so ``repr()`` of both pins the run.
+    The clock tick and the breaker's thresholds are the module
+    constants above.  A load test is a pure function of ``(seed,
+    config, policy)``; the policy is this object plus the
+    :class:`ServiceFaults` the load model drives, so ``repr()`` of both
+    pins the run.
     """
 
     cache_capacity: int = 256
@@ -89,10 +99,6 @@ class ServicePolicy:
     rate_per_s: float = 50.0
     burst: float = 20.0
     deadline_s: float = 2.0
-    tick_s: float = 0.05
-    breaker_failure_threshold: int = 3
-    breaker_recovery_s: float = 4.0
-    breaker_max_backoff_s: float = 64.0
 
     @classmethod
     def from_name(cls, name: str) -> "ServicePolicy":
@@ -194,9 +200,9 @@ class QueryService:
         self.breaker = CircuitBreaker(
             stage="store",
             tree=tree.child("breaker"),
-            failure_threshold=self.policy.breaker_failure_threshold,
-            recovery_s=self.policy.breaker_recovery_s,
-            max_backoff_s=self.policy.breaker_max_backoff_s,
+            failure_threshold=BREAKER_FAILURE_THRESHOLD,
+            recovery_s=BREAKER_RECOVERY_S,
+            max_backoff_s=BREAKER_MAX_BACKOFF_S,
         )
         self.cache = QueryCache(self.policy.cache_capacity)
         self._now = 0.0
@@ -297,7 +303,7 @@ class QueryService:
         the real frontend calls with defaults.
         """
         self._event += 1
-        self._now += self.policy.tick_s
+        self._now += TICK_S
         started = self._now
         self.requests += 1
         telemetry.count("service.requests")

@@ -65,14 +65,7 @@ from repro.faults.checkpoint import save_checkpoint
 from repro.faults.stream import INERT_DAY_PLAN, compile_day_plan
 from repro.honeynet.collector import Collector
 from repro.stream.breaker import CLOSED, BreakerTransition
-from repro.stream.policy import (
-    BREAKER_FAILURE_THRESHOLD,
-    BREAKER_MAX_BACKOFF_S,
-    BREAKER_RECOVERY_S,
-    HEARTBEAT_DEADLINE_S,
-    TICK_S,
-    StreamPolicy,
-)
+from repro.stream.policy import TICK_S, StreamPolicy
 from repro.stream.queues import LEVEL_CRITICAL
 from repro.stream.supervisor import (
     MODE_ANALYSIS_DEFERRED,
@@ -81,7 +74,6 @@ from repro.stream.supervisor import (
     STAGE_INGEST,
     STAGES,
     BEAT_HARD,
-    DeadlinePolicy,
     ModeTransition,
     StreamSupervisor,
 )
@@ -240,13 +232,7 @@ class StreamSubstrate:
         if policy.supervised:
             tree = base.tree.child("stream")
             self.supervisor = StreamSupervisor.build(
-                tree,
-                queue_capacity=policy.queue_capacity,
-                high_watermark=policy.high_watermark,
-                failure_threshold=BREAKER_FAILURE_THRESHOLD,
-                recovery_s=BREAKER_RECOVERY_S,
-                max_backoff_s=BREAKER_MAX_BACKOFF_S,
-                heartbeat_policy=DeadlinePolicy(hard_s=HEARTBEAT_DEADLINE_S),
+                tree, queue_capacity=policy.queue_capacity
             )
             self._sensor_ids = tuple(
                 sorted(
@@ -357,13 +343,11 @@ class StreamSubstrate:
                 supervisor.recover("ingest-probe-succeeded", day, event)
                 self._sync_admission()
         heartbeat = supervisor.heartbeat
-        if heartbeat is not None:
-            heartbeat.beat(STAGE_INGEST, now - self._skew)
+        heartbeat.beat(STAGE_INGEST, now - self._skew)
         if stored:
             self._analysis_stage(record, now, day, event)
-        if heartbeat is not None:
-            heartbeat.beat(STAGE_ANALYSIS, now - self._skew)
-            self._check_heartbeats(now, day, event)
+        heartbeat.beat(STAGE_ANALYSIS, now - self._skew)
+        self._check_heartbeats(now, day, event)
         return stored
 
     def _analysis_stage(
@@ -432,8 +416,6 @@ class StreamSubstrate:
     def _check_heartbeats(self, now: float, day: int, event: int) -> None:
         supervisor = self.supervisor
         heartbeat = supervisor.heartbeat
-        if heartbeat is None:
-            return
         for stage in STAGES:
             if heartbeat.check(stage, now) == BEAT_HARD:
                 supervisor.breakers[stage].trip(
@@ -472,9 +454,7 @@ class StreamSubstrate:
         self._partition_buffer = []
         if self._skew:
             self._skew_days += 1
-        heartbeat = self.supervisor.heartbeat
-        if heartbeat is not None:
-            heartbeat.reset(self._now - self._skew)
+        self.supervisor.heartbeat.reset(self._now - self._skew)
         self._sync_admission()
 
     def _drain_day(self, day: date) -> None:
@@ -521,9 +501,9 @@ class StreamSubstrate:
     # telemetry
     # ------------------------------------------------------------------
     def _stream_telemetry_state(self) -> list[tuple[str, int]]:
-        supervisor = self.supervisor
-        queue = supervisor.queue
-        state = [
+        queue = self.supervisor.queue
+        heartbeat = self.supervisor.heartbeat
+        return [
             ("stream.days", self._days_seen),
             ("stream.events", self._event_total),
             ("stream.queue.pushed", queue.pushed),
@@ -537,16 +517,9 @@ class StreamSubstrate:
             ("stream.analysis.errors", self._analysis_errors),
             ("stream.skew.days", self._skew_days),
             ("stream.ledger.days_balanced", self.ledger.days),
+            ("stream.heartbeat.soft_breaches", heartbeat.soft_breaches),
+            ("stream.heartbeat.hard_breaches", heartbeat.hard_breaches),
         ]
-        heartbeat = supervisor.heartbeat
-        if heartbeat is not None:
-            state.append(
-                ("stream.heartbeat.soft_breaches", heartbeat.soft_breaches)
-            )
-            state.append(
-                ("stream.heartbeat.hard_breaches", heartbeat.hard_breaches)
-            )
-        return state
 
     def _flush_stream_telemetry(self) -> None:
         """Emit per-day deltas of the stream counters (batch-granular,
@@ -632,12 +605,8 @@ class StreamSubstrate:
             analysis_observed=self._analysis_observed,
             analysis_deferred=self._analysis_deferred,
             analysis_errors=self._analysis_errors,
-            heartbeat_soft_breaches=(
-                heartbeat.soft_breaches if heartbeat is not None else 0
-            ),
-            heartbeat_hard_breaches=(
-                heartbeat.hard_breaches if heartbeat is not None else 0
-            ),
+            heartbeat_soft_breaches=heartbeat.soft_breaches,
+            heartbeat_hard_breaches=heartbeat.hard_breaches,
             skew_days=self._skew_days,
             ledger_days=self.ledger.days,
             coverage_rate=self.ledger.coverage_rate,

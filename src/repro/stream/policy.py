@@ -56,7 +56,8 @@ class StreamPolicy:
       require ``supervised=True``.
 
     Heartbeat deadline, breaker thresholds and clock tick are the
-    module constants above.
+    module constants above; the supervisor arms them
+    (:meth:`~repro.stream.supervisor.StreamSupervisor.build`).
     """
 
     supervised: bool = True
@@ -71,10 +72,6 @@ class StreamPolicy:
             raise ValueError(
                 "stream faults require a supervised stream policy"
             )
-
-    @property
-    def high_watermark(self) -> int:
-        return max(1, self.queue_capacity // 2)
 
     @classmethod
     def replay(cls) -> "StreamPolicy":

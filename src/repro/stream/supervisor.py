@@ -34,6 +34,12 @@ from dataclasses import dataclass, field
 
 from repro import telemetry
 from repro.stream.breaker import CLOSED, CircuitBreaker
+from repro.stream.policy import (
+    BREAKER_FAILURE_THRESHOLD,
+    BREAKER_MAX_BACKOFF_S,
+    BREAKER_RECOVERY_S,
+    HEARTBEAT_DEADLINE_S,
+)
 from repro.stream.queues import BoundedStreamQueue
 from repro.util.rng import RngTree
 
@@ -108,13 +114,6 @@ class DeadlinePolicy:
         """Staleness at which a stage is worth a warning."""
         return self.hard_s * self.soft_fraction
 
-    @classmethod
-    def from_deadline(cls, hard_s: float | None) -> "DeadlinePolicy | None":
-        """The policy for a configured hard deadline, or ``None``."""
-        if hard_s is None:
-            return None
-        return cls(hard_s=float(hard_s))
-
 
 @dataclass
 class HeartbeatMonitor:
@@ -176,44 +175,35 @@ class StreamSupervisor:
     tree: RngTree
     queue: BoundedStreamQueue
     breakers: dict[str, CircuitBreaker]
-    heartbeat: HeartbeatMonitor | None
+    heartbeat: HeartbeatMonitor
     mode: str = MODE_FULL
     transitions: list[ModeTransition] = field(default_factory=list)
 
     @classmethod
-    def build(
-        cls,
-        tree: RngTree,
-        *,
-        queue_capacity: int,
-        high_watermark: int,
-        failure_threshold: int,
-        recovery_s: float,
-        max_backoff_s: float,
-        heartbeat_policy: DeadlinePolicy | None,
-    ) -> "StreamSupervisor":
+    def build(cls, tree: RngTree, *, queue_capacity: int) -> "StreamSupervisor":
+        """Supervision for one run: the queue's high watermark is half
+        its capacity; breakers and heartbeat deadline are the
+        :mod:`repro.stream.policy` constants."""
         breaker_tree = tree.child("breaker")
         return cls(
             tree=tree,
             queue=BoundedStreamQueue(
                 name="ingest-analysis",
                 capacity=queue_capacity,
-                high_watermark=high_watermark,
+                high_watermark=max(1, queue_capacity // 2),
             ),
             breakers={
                 stage: CircuitBreaker(
                     stage=stage,
                     tree=breaker_tree,
-                    failure_threshold=failure_threshold,
-                    recovery_s=recovery_s,
-                    max_backoff_s=max_backoff_s,
+                    failure_threshold=BREAKER_FAILURE_THRESHOLD,
+                    recovery_s=BREAKER_RECOVERY_S,
+                    max_backoff_s=BREAKER_MAX_BACKOFF_S,
                 )
                 for stage in STAGES
             },
-            heartbeat=(
-                HeartbeatMonitor(heartbeat_policy)
-                if heartbeat_policy is not None
-                else None
+            heartbeat=HeartbeatMonitor(
+                DeadlinePolicy(hard_s=HEARTBEAT_DEADLINE_S)
             ),
         )
 

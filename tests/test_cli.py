@@ -96,6 +96,29 @@ class TestCommands:
         assert "mode" not in payload
         assert "online replay" in capsys.readouterr().out
 
+    def test_bench_sketch_only_json(self, tmp_path):
+        from repro.bench import check_bench_floors
+
+        path = tmp_path / "bench.json"
+        code = main(
+            [
+                "bench", "--sketch-only", "--sketch-sample", "300",
+                "--json", str(path),
+            ]
+        )
+        assert code == 0
+        report = json.loads(path.read_text())
+        assert report["sketch"]["distinct_sequences"] == 300
+        assert "day_loop" not in report
+        enforcement = report["enforcement"]
+        floors = {"sketch_speedup_floor", "sketch_ratio_bar", "sketch_recall_floor"}
+        assert set(enforcement) == {"enforced", "violations"} | floors
+        assert enforcement["enforced"] is False
+        assert enforcement["violations"] == check_bench_floors(report)
+        assert not any(
+            "day-loop" in violation for violation in enforcement["violations"]
+        )
+
     def test_export_csv(self, tmp_path, dataset):
         code = main(
             [

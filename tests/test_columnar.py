@@ -36,7 +36,7 @@ from repro.attackers.orchestrator import (
     run_simulation,
     simulate_day,
 )
-from repro.cli import check_bench_floors
+from repro.bench import check_bench_floors
 from repro.config import SimulationConfig
 from repro.honeynet.columnar import ColumnBatch, StringColumn
 from repro.honeynet.io import session_to_dict
@@ -412,3 +412,57 @@ class TestBenchFloors:
             self._report(speedup=0.9, overhead=9.9)
         )
         assert len(violations) == 2
+
+    @staticmethod
+    def _sketch(**overrides):
+        healthy = {"distinct_sequences": 2000, "speedup": 7.5}
+        healthy.update(candidate_ratio=0.085, close_pair_recall=0.996)
+        return {**healthy, **overrides}
+
+    @staticmethod
+    def _service(cache_hit_ratio=0.95, unserved=0, breaker_unserved=0):
+        return {
+            "repeated": {"cache_hit_ratio": cache_hit_ratio, "unserved": unserved},
+            "breaker_open": {"unserved": breaker_unserved},
+        }
+
+    def test_sketch_only_report_skips_engine_floors(self):
+        # A sketch-only report has no day-loop block: the multi-core
+        # speedup floor must not read a missing speedup as 0.00x.
+        report = {"cpu_count": 4, "sketch": self._sketch()}
+        assert check_bench_floors(report) == []
+
+    @pytest.mark.parametrize(
+        "overrides, expected",
+        [
+            ({"speedup": 4.9}, "sketch speedup 4.90x at 2000 distinct"),
+            ({"candidate_ratio": 0.25}, "candidate ratio 0.2500"),
+            ({"close_pair_recall": 0.94}, "close-pair recall 0.9400"),
+        ],
+    )
+    def test_sketch_floor_fails(self, overrides, expected):
+        report = {"cpu_count": 4, "sketch": self._sketch(**overrides)}
+        violations = check_bench_floors(report)
+        assert len(violations) == 1
+        assert expected in violations[0]
+
+    @pytest.mark.parametrize(
+        "service, expected",
+        [
+            ({"cache_hit_ratio": 0.89}, "cache hit ratio 0.8900"),
+            ({"unserved": 2}, "'repeated' left 2 requests unserved"),
+            ({"breaker_unserved": 1}, "'breaker_open' left 1 requests"),
+        ],
+    )
+    def test_service_floor_fails(self, service, expected):
+        report = self._report()
+        report["service"] = self._service(**service)
+        violations = check_bench_floors(report)
+        assert len(violations) == 1
+        assert expected in violations[0]
+
+    def test_healthy_full_report_passes(self):
+        report = self._report()
+        report["sketch"] = self._sketch()
+        report["service"] = self._service()
+        assert check_bench_floors(report) == []

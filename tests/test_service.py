@@ -57,6 +57,7 @@ from repro.service import (
     query_fingerprint,
     run_load_test,
 )
+from repro.service.core import BREAKER_FAILURE_THRESHOLD
 from repro.store import SqliteStore, index_path_for
 from repro.stream import CLOSED, OPEN, StreamPolicy, run_stream
 from tests.conftest import PROFILES, short_fault_config
@@ -508,10 +509,7 @@ class TestQueryCacheAndSingleFlight:
 
 class TestBreakerDegradation:
     async def test_store_failures_open_breaker_then_recover(self, store):
-        policy = ServicePolicy(
-            breaker_failure_threshold=2, breaker_recovery_s=1.0
-        )
-        service = QueryService(store=store, policy=policy, seed=5)
+        service = QueryService(store=store, seed=5)
         first = await service.handle(
             Request("a", "count"), store_error=True
         )
@@ -519,10 +517,11 @@ class TestBreakerDegradation:
         assert first.reason == "store-error"
         assert first.stale and first.version == 1
         assert first.payload is not None  # degraded, not empty-handed
-        second = await service.handle(
-            Request("b", "count"), store_error=True
-        )
-        assert second.outcome == "stale"
+        for client in ("b1", "b2"):  # up to BREAKER_FAILURE_THRESHOLD
+            failed = await service.handle(
+                Request(client, "count"), store_error=True
+            )
+            assert failed.outcome == "stale"
         assert service.breaker.state == OPEN
         assert service.breaker.trips == 1
         # While open, even healthy requests are answered from the
@@ -537,7 +536,7 @@ class TestBreakerDegradation:
         )
         assert unanswerable.outcome == "stale"
         assert unanswerable.payload is None
-        assert service.store_errors == 2
+        assert service.store_errors == BREAKER_FAILURE_THRESHOLD
         # Past the backoff the seeded probe half-opens, the healthy
         # store answers, and the breaker closes again.
         service.advance(30.0)
@@ -547,7 +546,7 @@ class TestBreakerDegradation:
 
     async def test_stale_responses_name_the_version_served(self, store):
         service = QueryService(store=store, seed=5)
-        for index in range(service.policy.breaker_failure_threshold):
+        for index in range(BREAKER_FAILURE_THRESHOLD):
             response = await service.handle(
                 Request(f"c{index}", "count"), store_error=True
             )

@@ -600,15 +600,7 @@ class TestQueueProperties:
 
 
 def _supervisor():
-    return StreamSupervisor.build(
-        RngTree(3).child("stream"),
-        queue_capacity=8,
-        high_watermark=4,
-        failure_threshold=2,
-        recovery_s=2.0,
-        max_backoff_s=16.0,
-        heartbeat_policy=DeadlinePolicy.from_deadline(8.0),
-    )
+    return StreamSupervisor.build(RngTree(3).child("stream"), queue_capacity=8)
 
 
 class TestSupervisorLadder:
@@ -677,15 +669,10 @@ class TestDeadlinePolicy:
         with pytest.raises(ValueError, match="soft_fraction"):
             DeadlinePolicy(hard_s=1.0, soft_fraction=1.5)
 
-    def test_from_deadline(self):
-        assert DeadlinePolicy.from_deadline(None) is None
-        policy = DeadlinePolicy.from_deadline(42)
-        assert policy.hard_s == 42.0
-
 
 class TestHeartbeatEpisodes:
     def test_breaches_counted_once_per_episode(self):
-        monitor = HeartbeatMonitor(DeadlinePolicy.from_deadline(8.0))
+        monitor = HeartbeatMonitor(DeadlinePolicy(hard_s=8.0))
         monitor.reset(0.0)
         assert monitor.check("ingest", 1.0) is None
         assert monitor.check("ingest", 5.0) == "soft"
