@@ -8,7 +8,7 @@ from functools import lru_cache
 import numpy as np
 
 from repro import telemetry
-from repro.analysis.dld import damerau_levenshtein, dld_bounds
+from repro.analysis.dld import normalized_dld
 from repro.analysis.sketch import (
     DEFAULT_SKETCH_CONFIG,
     SketchConfig,
@@ -18,8 +18,8 @@ from repro.analysis.tokenizer import DEFAULT_TOKENIZER, TokenizerConfig
 from repro.honeypot.session import SessionRecord
 
 
-#: Cap on tokens per session fed to the O(len²) distance computation.
-#: Keeps pathological sessions (e.g. hundred-command proxy abuse) from
+#: Cap on tokens per session fed to the distance computation.  Keeps
+#: pathological sessions (e.g. hundred-command proxy abuse) from
 #: dominating runtime while preserving their behavioural prefix.
 MAX_TOKENS_PER_SESSION = 120
 
@@ -79,13 +79,7 @@ def session_tokens(
 def _cached_pair_distance(
     fingerprint: str, a: tuple[str, ...], b: tuple[str, ...]
 ) -> float:
-    lower, upper = dld_bounds(a, b)
-    if upper == 0:
-        return 0.0
-    if lower == upper:
-        # The bounds pin the distance (one side is empty): skip the DP.
-        return 1.0
-    return damerau_levenshtein(a, b) / upper
+    return normalized_dld(a, b)
 
 
 def pair_distance(
@@ -95,14 +89,13 @@ def pair_distance(
 ) -> float:
     """Normalized DLD between two token tuples, LRU-cached.
 
-    The cache key is order-canonical (DLD is symmetric), identical
-    tuples short-circuit to 0.0, and the length-difference lower bound
-    skips the DP whenever it already equals the upper bound.  Entries
-    are additionally keyed by the tokenizer fingerprint that produced
-    the tuples, so a cache warmed under one tokenizer configuration is
-    never consulted by another (the value is a pure function of the
-    tuples today, but the keying keeps that an implementation detail
-    rather than a cross-config coupling).
+    The cache key is order-canonical (DLD is symmetric) and identical
+    tuples short-circuit to 0.0.  Entries are additionally keyed by the
+    tokenizer fingerprint that produced the tuples, so a cache warmed
+    under one tokenizer configuration is never consulted by another
+    (the value is a pure function of the tuples today, but the keying
+    keeps that an implementation detail rather than a cross-config
+    coupling).
     """
     if a == b:
         return 0.0
@@ -113,7 +106,6 @@ def pair_distance(
 
 def distance_matrix(
     token_sequences: list[list[str]],
-    workers: int = 1,
     sketch: SketchConfig = DEFAULT_SKETCH_CONFIG,
     tokenizer: TokenizerConfig = DEFAULT_TOKENIZER,
 ) -> np.ndarray:
@@ -121,23 +113,19 @@ def distance_matrix(
 
     The values of :func:`~repro.analysis.sketch.sketch_distance_matrix`,
     the one builder.  Identical token sequences are deduplicated, so
-    the O(n²) DLD work only runs once per distinct behaviour — bot
+    the O(n²) pair work only runs once per distinct behaviour — bot
     traffic is heavily repetitive, which makes this the difference
     between seconds and hours at realistic sample sizes.  Below
     ``sketch.min_sequences`` distinct sequences every pair is
     measured; at or above it only the MinHash/LSH candidates (plus
-    bounds-pinned pairs) pay the DP and pruned pairs hold the sound
-    upper bound 1.0.
-
-    ``workers > 1`` evaluates the pair work in chunks on a process
-    pool (:mod:`repro.parallel.distance`); every pair is the same pure
-    function either way, so the matrix is identical at any worker
-    count.  Tiny inputs stay serial — the pool costs more than the DP
-    below a few hundred pairs.
+    bounds-pinned pairs) are measured and pruned pairs hold the sound
+    upper bound 1.0.  Every measured pair is one serial call of the
+    bit-vector kernel (:func:`~repro.analysis.dld.damerau_levenshtein`)
+    behind the pair cache.
     """
     with telemetry.span("dld.matrix"):
         built = sketch_distance_matrix(
-            token_sequences, sketch, workers=workers, tokenizer=tokenizer
+            token_sequences, sketch, tokenizer=tokenizer
         )
         registry = telemetry.active()
         if registry is not None:

@@ -10,15 +10,15 @@ to the nearest existing cluster medoid within a distance threshold or
 Cost per observation:
 
 1. **Exact-duplicate fast path** — bot traffic is dominated by repeats;
-   a dict lookup resolves them in O(1) with zero DPs.
+   a dict lookup resolves them in O(1) with zero distance calls.
 2. **Candidate medoids** — above :attr:`OnlineClusterer.index_floor`
    clusters, the medoid set is LSH-indexed (same banding as the batch
    prefilter, :mod:`repro.analysis.sketch`) and only bucket-colliding
    medoids are compared; below the floor an exhaustive scan is cheaper
    than maintaining the index.
-3. **Bound-gated DP** — each candidate is first screened with
-   :func:`repro.analysis.sketch.combined_bounds`; the DP runs only when
-   the lower bound leaves the threshold reachable.
+3. **Bound-gated distance** — each candidate is first screened with
+   :func:`repro.analysis.sketch.combined_bounds`; the DLD kernel runs
+   only when the lower bound leaves the threshold reachable.
 
 Determinism: the clusterer is a pure function of the observation order
 (no RNG).  Ties — several medoids at exactly the same distance — break

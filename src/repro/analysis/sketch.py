@@ -1,10 +1,11 @@
 """MinHash/LSH candidate pruning for the token-DLD clustering.
 
-The paper's clustering pipeline pays the O(len²) Damerau-Levenshtein
-DP for every pair of *distinct* token sequences — m·(m-1)/2 DPs, which
-is fine at the paper's 2e-5 scale and fatal at production scale.  This
-module adds a sketch-based prefilter in the style of Shamsi et al.
-("Measuring and Clustering Network Attackers", PAPERS.md):
+The paper's clustering pipeline measures the Damerau-Levenshtein
+distance of every pair of *distinct* token sequences — m·(m-1)/2 kernel
+calls, which is fine at the paper's 2e-5 scale and fatal at production
+scale.  This module adds a sketch-based prefilter in the style of
+Shamsi et al. ("Measuring and Clustering Network Attackers",
+PAPERS.md):
 
 1. Every distinct token sequence gets a **MinHash signature** over its
    token w-shingles — ``num_perm`` independent 64-bit permutations of
@@ -17,7 +18,7 @@ module adds a sketch-based prefilter in the style of Shamsi et al.
    probability ``1 - (1 - s^rows)^bands`` — near 1 for similar pairs,
    near 0 for dissimilar ones.
 3. Only candidate pairs (plus pairs whose :func:`dld_bounds` already
-   pin the distance) pay the full DP.  Every pruned pair is recorded
+   pin the distance) are measured.  Every pruned pair is recorded
    as an **upper-bound entry** (normalized DLD ≤ 1.0 always) with its
    position tracked in :attr:`ApproxDistanceMatrix.pruned`, so
    consumers can distinguish "measured 1.0" from "bounded 1.0".
@@ -26,17 +27,16 @@ module adds a sketch-based prefilter in the style of Shamsi et al.
 builder behind every DLD matrix (``distance_matrix`` returns its
 values), and the input size picks the regime.  Below
 :attr:`SketchConfig.min_sequences` distinct sequences the sketch
-machinery is pure overhead — the DP is cheap and the approximation
+machinery is pure overhead — the kernel is cheap and the approximation
 risk buys nothing — so every pair is measured and no signature is
-computed (the same idiom as ``MIN_PAIRS_FOR_POOL`` in
-:mod:`repro.parallel.distance`).  The paper pipeline (at most
-``CLUSTER_SAMPLE_LIMIT`` = 400 sessions per matrix) is always below the
-floor.  The differential suite (tests/test_sketch.py, scripts/soak.py)
-pins the *pruned* regime against the exact oracle by moving the floor:
-0 forces pruning, a floor above the input size forces every pair.
+computed.  The paper pipeline (at most ``CLUSTER_SAMPLE_LIMIT`` = 400
+sessions per matrix) is always below the floor.  The differential
+suite (tests/test_sketch.py, scripts/soak.py) pins the *pruned* regime
+against the exact oracle by moving the floor: 0 forces pruning, a floor
+above the input size forces every pair.
 
-Telemetry (all deterministic functions of config + data, so serial and
-parallel runs agree exactly — see docs/observability.md):
+Telemetry (all deterministic functions of config + data — see
+docs/observability.md):
 
 * ``sketch.matrix_builds`` / ``sketch.bypassed`` — pruned builds vs
   below-floor builds that measured every pair.
@@ -63,7 +63,7 @@ from repro.analysis.dld import dld_bounds
 from repro.analysis.tokenizer import DEFAULT_TOKENIZER, TokenizerConfig
 
 #: Value substituted for a pruned pair: the trivial normalized-DLD
-#: upper bound (the DP result divided by ``max(len)`` never exceeds 1).
+#: upper bound (the DLD divided by ``max(len)`` never exceeds 1).
 PRUNED_DISTANCE = 1.0
 
 #: Distinct shingles kept in the shingle-hash cache.
@@ -331,26 +331,20 @@ class ApproxDistanceMatrix:
 def sketch_distance_matrix(
     token_sequences: list[list[str]] | list[tuple[str, ...]],
     config: SketchConfig = DEFAULT_SKETCH_CONFIG,
-    workers: int = 1,
     tokenizer: TokenizerConfig = DEFAULT_TOKENIZER,
 ) -> ApproxDistanceMatrix:
     """The normalized-DLD matrix over token sequences — the one builder.
 
-    Identical sequences are deduplicated first, so the O(len²) DP only
-    runs once per distinct behaviour.  Below
+    Identical sequences are deduplicated first, so each distinct pair
+    is measured at most once.  Below
     :attr:`SketchConfig.min_sequences` distinct sequences every pair of
     the upper triangle is measured, in row-major order, and no
     signature is computed.  At or above it, only candidate pairs
     (sharing an LSH band) and bounds-pinned pairs (one side empty — the
-    bounds coincide, no DP needed) are measured; every other pair is
-    recorded as a pruned upper-bound entry.  Measured pairs go through
+    bounds coincide) are measured; every other pair is recorded as a
+    pruned upper-bound entry.  Measured pairs go serially through
     :func:`~repro.analysis.distance.pair_distance`, keyed by
     ``tokenizer.fingerprint``.
-
-    ``workers > 1`` evaluates the pair list on a process pool: the
-    signatures are computed once here in the parent, and the workers
-    receive only the distinct sequences (once, via the pool
-    initializer) plus a compact pair-index array.
     """
     with telemetry.span("sketch.matrix"):
         keys = [tuple(seq) for seq in token_sequences]
@@ -372,10 +366,8 @@ def sketch_distance_matrix(
             pairs = np.array(candidates + pinned, dtype=np.int64).reshape(-1, 2)
             candidate_count, pinned_count = len(candidates), len(pinned)
 
-        with telemetry.span("sketch.candidate_dp"):
-            values = _measured_values(
-                distinct, pairs, workers, tokenizer.fingerprint
-            )
+        with telemetry.span("sketch.measure"):
+            values = _measured_values(distinct, pairs, tokenizer.fingerprint)
         rows, cols = pairs[:, 0], pairs[:, 1]
         compact = np.full((m, m), PRUNED_DISTANCE, dtype=np.float64)
         np.fill_diagonal(compact, 0.0)
@@ -426,7 +418,7 @@ def _lsh_pairs(
         candidates = lsh_candidate_pairs(signatures, config)
 
     # Bounds-pinned pairs: an empty side makes dld_bounds coincide, so
-    # the value (exactly 1.0 against anything non-empty) costs no DP.
+    # the value is exactly 1.0 against anything non-empty.
     # Dedup guarantees at most one empty distinct sequence.
     candidate_set = set(candidates)
     pinned: set[tuple[int, int]] = set()
@@ -441,22 +433,11 @@ def _lsh_pairs(
 def _measured_values(
     distinct: list[tuple[str, ...]],
     pairs: np.ndarray,
-    workers: int,
     fingerprint: str,
 ) -> np.ndarray:
-    """Exact values for the given distinct-index pairs, serial or pooled."""
+    """Exact values for the given distinct-index pairs."""
     from repro.analysis.distance import pair_distance
 
-    if workers > 1:
-        from repro.parallel.distance import (
-            MIN_PAIRS_FOR_POOL,
-            candidate_values_parallel,
-        )
-
-        if len(pairs) >= MIN_PAIRS_FOR_POOL:
-            return candidate_values_parallel(
-                distinct, pairs, workers, fingerprint
-            )
     return np.array(
         [
             pair_distance(distinct[i], distinct[j], fingerprint)

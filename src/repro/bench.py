@@ -1,12 +1,12 @@
 """``repro bench``: the timed scenarios and their regression floors.
 
 A full run times serial vs ``workers`` processes on the simulation
-day-loop and the DLD distance matrix, telemetry on vs off, the burst
-flood preset, the LSH sketch prefilter and the store-backed query
-service, and checks digest/bit equality along the way.  ``sketch_only``
-runs the sketch scenario alone (no simulation).  Either way the report
-ends in one ``enforcement`` block built from :data:`FLOORS`, the table
-that declares every floor once.
+day-loop, telemetry on vs off, the burst flood preset, the LSH sketch
+prefilter and the store-backed query service, and checks digest
+equality along the way.  ``sketch_only`` runs the sketch scenario alone
+(no simulation).  Either way the report ends in one ``enforcement``
+block built from :data:`FLOORS`, the table that declares every floor
+once.
 """
 
 from __future__ import annotations
@@ -284,18 +284,10 @@ def service_block(serial_result, seed: int) -> dict:
     }
 
 
-def _engine_blocks(config, workers: int, repeat: int, dld_sample: int):
-    """The day-loop, telemetry, DLD-matrix and flood blocks, plus the
-    serial run the service scenario serves from."""
-    import numpy as np
-
+def _engine_blocks(config, workers: int, repeat: int):
+    """The day-loop, telemetry and flood blocks, plus the serial run
+    the service scenario serves from."""
     from repro import telemetry
-    from repro.analysis.distance import (
-        clear_distance_caches,
-        distance_matrix,
-        sample_sessions,
-        session_tokens,
-    )
     from repro.attackers.orchestrator import run_simulation
 
     # Serial runs are interleaved telemetry-off / telemetry-on so the
@@ -316,20 +308,6 @@ def _engine_blocks(config, workers: int, repeat: int, dld_sample: int):
     parallel_result, parallel_day_s = _best_of(
         lambda: run_simulation(config, workers=workers), repeat
     )
-
-    sessions = sample_sessions(
-        serial_result.database.command_sessions(), dld_sample, seed=config.seed
-    )
-    clear_distance_caches()
-    tokens = session_tokens(sessions)
-    distinct = len({tuple(sequence) for sequence in tokens})
-
-    def matrix(n_workers):
-        clear_distance_caches()
-        return distance_matrix(tokens, workers=n_workers)
-
-    serial_matrix, serial_dld_s = _best_of(lambda: matrix(1), repeat)
-    parallel_matrix, parallel_dld_s = _best_of(lambda: matrix(workers), repeat)
 
     # The same window under the burst flood preset: serial vs parallel
     # (shed-path cost relative to the quiet runs above).
@@ -361,15 +339,6 @@ def _engine_blocks(config, workers: int, repeat: int, dld_sample: int):
             ),
             "digest_match": digest == telemetry_result.database.digest(),
         },
-        "dld_matrix": {
-            "sequences": len(tokens),
-            "distinct_sequences": distinct,
-            "pairs": distinct * (distinct - 1) // 2,
-            "serial_s": round(serial_dld_s, 4),
-            "parallel_s": round(parallel_dld_s, 4),
-            "speedup": round(serial_dld_s / parallel_dld_s, 3),
-            "matrix_match": bool(np.array_equal(serial_matrix, parallel_matrix)),
-        },
         "flood": {
             "profile": "burst",
             "serial_s": round(flood_serial_s, 4),
@@ -396,7 +365,6 @@ def build_report(
     *,
     workers: int,
     repeat: int,
-    dld_sample: int,
     sketch_sample: int,
     sketch_only: bool,
     enforce: bool,
@@ -422,7 +390,7 @@ def build_report(
         report["sketch"] = sketch_block(sketch_sample, repeat, config.seed)
     else:
         blocks = {floor.block for floor in FLOORS}
-        engine, serial_result = _engine_blocks(config, workers, repeat, dld_sample)
+        engine, serial_result = _engine_blocks(config, workers, repeat)
         report.update(engine)
         if sketch_sample > 0:
             report["sketch"] = sketch_block(sketch_sample, repeat, config.seed)
@@ -435,8 +403,7 @@ def equivalent(report: dict) -> bool:
     """Every serial-vs-parallel and telemetry on-vs-off comparison in
     the report matched (trivially true for a sketch-only report)."""
     return all(
-        block.get(key, True)
+        block.get("digest_match", True)
         for block in report.values()
         if isinstance(block, dict)
-        for key in ("digest_match", "matrix_match")
     )

@@ -8,9 +8,9 @@ Subcommands:
 * ``report``      — regenerate the EXPERIMENTS.md comparison document.
 * ``faults``      — simulate under a fault profile and print the
   resilience report (fault plan, collector accounting, coverage).
-* ``bench``       — time the serial vs parallel engines (day-loop and
-  DLD matrix), plus telemetry on-vs-off overhead, and optionally
-  record the numbers as JSON.
+* ``bench``       — time the serial vs parallel day-loop, plus
+  telemetry on-vs-off overhead, the flood, sketch and service
+  scenarios, and optionally record the numbers as JSON.
 * ``telemetry``   — run the pipeline with telemetry enabled and print
   the run report (see docs/observability.md).
 * ``verify``      — audit a dataset/checkpoint tree (manifests,
@@ -495,7 +495,6 @@ def cmd_bench(args: argparse.Namespace) -> int:
         _config(args),
         workers=args.workers,
         repeat=args.repeat,
-        dld_sample=args.dld_sample,
         sketch_sample=args.sketch_sample,
         sketch_only=args.sketch_only,
         enforce=args.enforce,
@@ -514,17 +513,12 @@ def cmd_bench(args: argparse.Namespace) -> int:
 
 def _print_bench(report: dict) -> None:
     if "day_loop" in report:
-        day, dld = report["day_loop"], report["dld_matrix"]
+        day = report["day_loop"]
         tel, flood = report["telemetry"], report["flood"]
         print(f"== bench: serial vs {report['workers']} workers ==")
         print(
             f"day-loop:   {day['serial_s']:.3f}s -> {day['parallel_s']:.3f}s "
             f"({day['speedup']:.2f}x, digest match: {day['digest_match']})"
-        )
-        print(
-            f"DLD matrix: {dld['serial_s']:.3f}s -> {dld['parallel_s']:.3f}s "
-            f"({dld['speedup']:.2f}x, {dld['pairs']} pairs, "
-            f"bit-identical: {dld['matrix_match']})"
         )
         print(
             f"telemetry:  {tel['off_s']:.3f}s -> {tel['on_s']:.3f}s "
@@ -1023,7 +1017,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     bench = commands.add_parser(
         "bench",
-        help="time serial vs parallel engines (day-loop + DLD matrix)",
+        help="time the serial vs parallel day-loop and the bench "
+        "scenarios",
     )
     _add_common(bench)
     bench.add_argument(
@@ -1033,10 +1028,6 @@ def build_parser() -> argparse.ArgumentParser:
     bench.add_argument(
         "--repeat", type=int, default=1,
         help="iterations per timing (best-of; CI smoke uses 1)",
-    )
-    bench.add_argument(
-        "--dld-sample", type=int, default=400, metavar="N",
-        help="command sessions sampled for the DLD matrix timing",
     )
     bench.add_argument(
         "--enforce", action="store_true",

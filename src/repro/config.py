@@ -51,13 +51,12 @@ class SimulationConfig:
             the pre-fault-model pipeline byte for byte.
         workers: process count for the parallel execution engine
             (:mod:`repro.parallel`).  ``1`` (the default) runs the
-            original serial day-loop and serial DLD matrix; ``N > 1``
-            shards the simulated window across ``N`` worker processes
-            and chunks the O(n²) distance matrix over the same pool.
-            The output is digest-identical at every worker count, so
-            this knob trades wall-clock for cores, never correctness —
-            it is deliberately excluded from checkpoint fingerprints
-            and dataset cache keys.
+            serial day-loop; ``N > 1`` shards the simulated window
+            across ``N`` worker processes.  DLD matrices are serial at
+            any worker count.  The output is digest-identical at every
+            worker count, so this knob trades wall-clock for cores,
+            never correctness — it is deliberately excluded from
+            checkpoint fingerprints and dataset cache keys.
     """
 
     seed: int = 7

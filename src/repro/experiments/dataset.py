@@ -140,7 +140,7 @@ class Dataset:
                     self.file_sessions(), sample_limit, seed=self.config.seed
                 )
                 tokens = session_tokens(sessions)
-                matrix = distance_matrix(tokens, workers=self.config.workers)
+                matrix = distance_matrix(tokens)
                 result, selection = cluster_with_selection(
                     matrix, seed=self.config.seed
                 )

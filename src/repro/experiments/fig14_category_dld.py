@@ -53,7 +53,7 @@ class Fig14CategoryDld(Experiment):
             start = len(flat)
             flat.extend(exemplars[category])
             spans[category] = range(start, len(flat))
-        pairwise = distance_matrix(flat, workers=dataset.config.workers)
+        pairwise = distance_matrix(flat)
         rows = []
         matrix: dict[tuple[str, str], float] = {}
         for a in categories:

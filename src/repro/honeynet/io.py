@@ -357,10 +357,11 @@ def recover_jsonl(
 
     Duplicated lines are dropped by sequence number, reordered lines are
     re-sorted, and every unrecoverable line — invalid JSON, failed
-    checksum, bad schema version, malformed record, or a sequence number
-    the manifest promised but nothing carries — is appended to the
-    quarantine store with provenance.  ``quarantine=None`` scans without
-    writing anything (used by ``repro verify``).
+    checksum, bad schema version, malformed record, no integer sequence
+    number, or a sequence number the manifest promised but nothing
+    carries — is appended to the quarantine store with provenance.
+    ``quarantine=None`` scans without writing anything (used by
+    ``repro verify``).
     """
     path = Path(path)
     store: QuarantineStore | None = None
@@ -378,7 +379,7 @@ def recover_jsonl(
         report.manifest_lines = expected.lines
 
     bad: list[tuple[int, str, str]] = []  # (line_number, reason, raw)
-    kept: list[tuple[int | None, SessionRecord]] = []  # (seq, record)
+    kept: list[tuple[int, SessionRecord]] = []  # (seq, record)
     text = path.read_text(encoding="utf-8")
     raw_lines = text.split("\n")
     if raw_lines and raw_lines[-1] == "":
@@ -402,16 +403,19 @@ def recover_jsonl(
                 record = session_from_dict(payload)
             except SessionLogError as error:
                 reason = error.reason or "malformed-record"
+        if reason is None and not isinstance(payload.get(SEQ_KEY), int):
+            # Every writer stamps ``seq``; without it the line cannot be
+            # ordered or deduplicated.
+            reason = "missing-seq"
         if reason is not None:
             bad.append((line_number, reason, raw))
             continue
-        sequence = payload.get(SEQ_KEY)
-        kept.append((sequence if isinstance(sequence, int) else None, record))
+        kept.append((payload[SEQ_KEY], record))
         report.parsed += 1
 
     records = _order_records(kept, report)
     if expected is not None:
-        seen = {seq for seq, _ in kept if seq is not None}
+        seen = {seq for seq, _ in kept}
         report.missing_seqs = tuple(
             seq for seq in range(expected.lines) if seq not in seen
         )
@@ -444,32 +448,20 @@ def recover_jsonl(
 
 
 def _order_records(
-    kept: list[tuple[int | None, SessionRecord]], report: RecoveryReport
+    kept: list[tuple[int, SessionRecord]], report: RecoveryReport
 ) -> list[SessionRecord]:
-    """Dedup and re-sort surviving records, updating the report."""
-    if kept and all(seq is not None for seq, _ in kept):
-        by_seq: dict[int, SessionRecord] = {}
-        previous = -1
-        for seq, record in kept:
-            if seq < previous:
-                report.reordered += 1
-            previous = max(previous, seq)
-            if seq in by_seq:
-                report.duplicates += 1
-            else:
-                by_seq[seq] = record
-        return [by_seq[seq] for seq in sorted(by_seq)]
-    # Legacy lines without sequence numbers: keep file order, dedup by
-    # session id (the collector's identity key).
-    seen_ids: set[str] = set()
-    records: list[SessionRecord] = []
-    for _, record in kept:
-        if record.session_id in seen_ids:
+    """Dedup by sequence number and re-sort, updating the report."""
+    by_seq: dict[int, SessionRecord] = {}
+    previous = -1
+    for seq, record in kept:
+        if seq < previous:
+            report.reordered += 1
+        previous = max(previous, seq)
+        if seq in by_seq:
             report.duplicates += 1
-            continue
-        seen_ids.add(record.session_id)
-        records.append(record)
-    return records
+        else:
+            by_seq[seq] = record
+    return [by_seq[seq] for seq in sorted(by_seq)]
 
 
 def collector_accounting_for_recovery(report: RecoveryReport) -> dict[str, int]:

@@ -1,13 +1,15 @@
-"""Differential oracle suite: serial vs pooled matrices, online vs batch.
+"""Differential oracle suite: matrices vs the DP oracle, online vs batch.
 
-The exact pipeline is the oracle; every pooled or incremental path is
+The exact pipeline is the oracle; every fast or incremental path is
 pinned against it:
 
 * The paper-scale distance matrix sits below the sketch activation
   floor, so every pair is measured: the clustering reports one
-  below-floor build, and the matrix is bit-identical at {serial, 2
-  workers} across the {none, paper, stress} fault profiles, both with
-  every pair measured and with the floor forced to zero (pruned).
+  below-floor build, and the matrix equals one built pair by pair
+  from the DP oracle (``tests/test_properties.py::dp_dld``)
+  across the {none, paper, stress} fault profiles, both with every
+  pair measured and with the floor forced to zero (pruned pairs hold
+  the 1.0 upper bound).
 * The online assign-or-spawn clusterer replays the batch sample as a
   stream; its divergence from the batch K-medoids labels is pinned
   with a committed golden (pair agreement ≥ the floor, exact golden
@@ -23,8 +25,14 @@ from tests.conftest import PROFILES, short_fault_config
 from repro import telemetry
 from repro.analysis.distance import distance_matrix
 from repro.analysis.online import OnlineClusterer, pair_agreement
-from repro.analysis.sketch import DEFAULT_SKETCH_CONFIG, SketchConfig
+from repro.analysis.sketch import (
+    DEFAULT_SKETCH_CONFIG,
+    PRUNED_DISTANCE,
+    SketchConfig,
+    sketch_distance_matrix,
+)
 from repro.experiments.dataset import Dataset, build_dataset
+from tests.test_properties import dp_dld
 
 pytestmark = pytest.mark.cluster
 
@@ -70,24 +78,40 @@ REGIMES = {
 }
 
 
-class TestSerialVsWorkers:
+def oracle_matrix(tokens: list[list[str]]) -> np.ndarray:
+    """Normalized DLD pair by pair from the DP oracle (each distinct
+    pair computed once)."""
+    values: dict[tuple[tuple[str, ...], tuple[str, ...]], float] = {}
+    n = len(tokens)
+    matrix = np.zeros((n, n), dtype=np.float64)
+    for i in range(n):
+        for j in range(i + 1, n):
+            a, b = sorted((tuple(tokens[i]), tuple(tokens[j])))
+            if (a, b) not in values:
+                longest = max(len(a), len(b))
+                values[a, b] = dp_dld(a, b) / longest if longest else 0.0
+            matrix[i, j] = matrix[j, i] = values[a, b]
+    return matrix
+
+
+class TestMatrixVsOracle:
     @pytest.mark.parametrize("profile", PROFILES)
     @pytest.mark.parametrize("regime", tuple(REGIMES))
-    def test_matrix_identical_at_two_workers(
-        self, profile_datasets, profile, regime
-    ):
+    def test_matrix_matches_oracle(self, profile_datasets, profile, regime):
         tokens = profile_datasets[profile].clustering().tokens
         sketch = REGIMES[regime]
-        serial = distance_matrix(tokens, workers=1, sketch=sketch)
-        parallel = distance_matrix(tokens, workers=2, sketch=sketch)
-        assert np.array_equal(serial, parallel)
+        matrix = distance_matrix(tokens, sketch=sketch)
+        pruned = sketch_distance_matrix(tokens, sketch).pruned
+        oracle = oracle_matrix(tokens)
+        assert np.array_equal(matrix[~pruned], oracle[~pruned])
+        assert np.all(matrix[pruned] == PRUNED_DISTANCE)
+        assert pruned.any() == (regime == "lsh")
 
-    def test_paper_scale_matrix_identical_at_two_workers(self, dataset):
+    def test_paper_scale_matrix_matches_oracle(self, dataset):
         tokens = dataset.clustering().tokens
-        serial = distance_matrix(tokens, workers=1)
-        parallel = distance_matrix(tokens, workers=2)
-        assert np.array_equal(serial, parallel)
-        assert np.array_equal(serial, dataset.clustering().matrix)
+        matrix = distance_matrix(tokens)
+        assert np.array_equal(matrix, oracle_matrix(tokens))
+        assert np.array_equal(matrix, dataset.clustering().matrix)
 
 
 class TestOnlineReplay:

@@ -359,16 +359,25 @@ class TestRecovery:
         assert recovered.report.manifest_lines is None
         assert read_jsonl(path, mode="lenient") == recovered.records
 
-    def test_legacy_lines_without_seq_recover_in_file_order(self, tmp_path):
-        path = tmp_path / "legacy.jsonl"
-        lines = [json.dumps(session_to_dict(r)) for r in records(5)]
-        lines.insert(2, lines[2])  # a duplicate, identified by session id
-        path.write_text("".join(line + "\n" for line in lines))
-        recovered = recover_jsonl(path)
+    def test_lines_without_seq_are_quarantined(self, tmp_path):
+        path = tmp_path / "d.jsonl"
+        write_jsonl(records(4), path)
+        unsequenced = [json.dumps(session_to_dict(r)) for r in records(6)[4:]]
+        with open(path, "a", encoding="utf-8") as handle:
+            handle.write("".join(line + "\n" for line in unsequenced))
+        store = QuarantineStore(tmp_path / "quarantine")
+        recovered = recover_jsonl(path, quarantine=store)
+        report = recovered.report
         assert [s.session_id for s in recovered.records] == [
-            f"s-{i:04d}" for i in range(5)
+            f"s-{i:04d}" for i in range(4)
         ]
-        assert recovered.report.duplicates == 1
+        assert report.bad_lines == ((5, "missing-seq"), (6, "missing-seq"))
+        assert store.counts_by_reason() == {"missing-seq": 2}
+        assert report.conservation_balanced()
+        counters = collector_accounting_for_recovery(report)
+        assert counters["generated"] == (
+            counters["deduplicated"] + counters["quarantined"] + report.recovered
+        )
 
     def test_integrity_note(self):
         assert integrity_note(0, 100) is None

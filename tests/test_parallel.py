@@ -1,10 +1,11 @@
 """Differential suite: the parallel engine must equal the serial one.
 
 Every test here asserts *equivalence*, not plausibility: the sharded
-day-loop and the chunked DLD matrix must reproduce the serial pipeline
-byte for byte — same dataset digest, same collector accounting, same
-dead letters, same honeypot counters, same matrix bits — across fault
-profiles, worker counts, and checkpoint/resume in either direction.
+day-loop must reproduce the serial pipeline byte for byte — same
+dataset digest, same collector accounting, same dead letters, same
+honeypot counters — across fault profiles, worker counts, and
+checkpoint/resume in either direction.  The DLD matrix, serial at any
+worker count, is pinned against a pair-by-pair loop.
 
 Marked ``parallel`` so CI can run this suite as its own job leg
 (``pytest -m parallel``) on every push.
@@ -16,13 +17,11 @@ import random
 from dataclasses import asdict
 from datetime import date, timedelta
 
-import numpy as np
 import pytest
 
 from repro.analysis.distance import (
     clear_distance_caches,
     distance_matrix,
-    sample_sessions,
     session_tokens,
 )
 from repro.analysis.dld import normalized_dld
@@ -232,41 +231,13 @@ def _random_token_sequences(count: int, seed: int) -> list[list[str]]:
 
 
 class TestDistanceMatrixParallel:
-    def test_chunked_pool_matches_serial_bit_for_bit(self):
-        # 80 distinct-ish sequences → thousands of pairs, over the
-        # MIN_PAIRS_FOR_POOL threshold, so the pool path really runs.
-        tokens = _random_token_sequences(80, seed=5)
-        clear_distance_caches()
-        serial = distance_matrix(tokens)
-        clear_distance_caches()
-        parallel = distance_matrix(tokens, workers=2)
-        assert np.array_equal(serial, parallel)
-
     def test_matrix_matches_naive_loop(self):
         tokens = _random_token_sequences(30, seed=9)
         clear_distance_caches()
-        matrix = distance_matrix(tokens, workers=2)
+        matrix = distance_matrix(tokens)
         for i, a in enumerate(tokens):
             for j, b in enumerate(tokens):
                 assert matrix[i, j] == normalized_dld(a, b)
-
-    def test_tiny_inputs_skip_the_pool(self):
-        tokens = _random_token_sequences(6, seed=1)
-        clear_distance_caches()
-        assert np.array_equal(
-            distance_matrix(tokens, workers=4), distance_matrix(tokens)
-        )
-
-    def test_clustering_sample_matches(self, serial_baselines):
-        sessions = sample_sessions(
-            serial_baselines["paper"].database.command_sessions(), 150, seed=7
-        )
-        tokens = session_tokens(sessions)
-        clear_distance_caches()
-        serial = distance_matrix(tokens)
-        clear_distance_caches()
-        parallel = distance_matrix(tokens, workers=2)
-        assert np.array_equal(serial, parallel)
 
 
 class TestTokenizeOnce:

@@ -1,9 +1,9 @@
 """Deeper property-based tests on core data structures.
 
-Includes a brute-force reference implementation of the restricted
-Damerau-Levenshtein distance to cross-check the optimized DP, invariant
-checks for K-medoids outputs, and a stateful model test of the fake
-filesystem.
+Includes a brute-force reference implementation and a copy of the
+dynamic program for the restricted Damerau-Levenshtein distance, both
+cross-checking the bit-vector kernel, invariant checks for K-medoids
+outputs, and a stateful model test of the fake filesystem.
 """
 
 from __future__ import annotations
@@ -11,6 +11,7 @@ from __future__ import annotations
 from functools import lru_cache
 
 import numpy as np
+import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from hypothesis.stateful import RuleBasedStateMachine, invariant, rule
@@ -19,7 +20,6 @@ from repro.analysis.distance import clear_distance_caches, distance_matrix
 from repro.analysis.dld import damerau_levenshtein, dld_bounds, normalized_dld
 from repro.analysis.kmedoids import kmedoids, silhouette_score
 from repro.honeypot.fs import FakeFilesystem
-from repro.parallel.distance import chunk_spans
 
 
 def reference_dld(a: tuple[str, ...], b: tuple[str, ...]) -> int:
@@ -42,6 +42,37 @@ def reference_dld(a: tuple[str, ...], b: tuple[str, ...]) -> int:
         return best
 
     return solve(len(a), len(b))
+
+
+def dp_dld(a, b) -> int:
+    """Restricted DLD by the O(len_a·len_b) dynamic program, with
+    two/three rolling rows of the DP matrix — the kernel's oracle."""
+    len_a, len_b = len(a), len(b)
+    if len_a == 0:
+        return len_b
+    if len_b == 0:
+        return len_a
+    previous2: list[int] = [0] * (len_b + 1)
+    previous = list(range(len_b + 1))
+    current = [0] * (len_b + 1)
+    for i in range(1, len_a + 1):
+        current[0] = i
+        for j in range(1, len_b + 1):
+            cost = 0 if a[i - 1] == b[j - 1] else 1
+            current[j] = min(
+                previous[j] + 1,        # deletion
+                current[j - 1] + 1,     # insertion
+                previous[j - 1] + cost, # substitution
+            )
+            if (
+                i > 1
+                and j > 1
+                and a[i - 1] == b[j - 2]
+                and a[i - 2] == b[j - 1]
+            ):
+                current[j] = min(current[j], previous2[j - 2] + cost)
+        previous2, previous, current = previous, current, previous2
+    return previous[len_b]
 
 
 _tokens = st.lists(st.sampled_from(["a", "b", "c", "d"]), max_size=8)
@@ -79,7 +110,7 @@ class TestDldMetricProperties:
     @settings(max_examples=200)
     def test_length_difference_and_max_length_bounds(self, a, b):
         # |len(a)-len(b)| <= DLD <= max(len(a), len(b)) — the bounds the
-        # chunked matrix uses for its early exit must actually bound.
+        # sketch prefilter pins pairs with must actually bound.
         lower, upper = dld_bounds(a, b)
         assert lower == abs(len(a) - len(b))
         assert upper == max(len(a), len(b))
@@ -93,7 +124,7 @@ class TestDldMetricProperties:
         if not a and not b:
             assert value == 0.0
         elif bool(a) != bool(b):
-            # one side empty: distance is the bounds-coincide early exit
+            # one side empty: the bounds coincide
             assert value == 1.0
 
     @given(_tokens.filter(lambda t: len(t) >= 2), st.data())
@@ -126,26 +157,49 @@ class TestDldMetricProperties:
         )
 
 
-class TestChunkGeometry:
-    """The pair-range slicing behind the chunked DLD pool."""
-
-    @given(
-        st.integers(min_value=0, max_value=10_000),
-        st.integers(min_value=1, max_value=64),
+@st.composite
+def kernel_pairs(draw, min_size: int, max_size: int):
+    """Token-sequence pairs over an alphabet of 1–5 tokens: independent
+    draws, transposition-heavy rewrites of one side, or an empty side."""
+    alphabet = [f"t{i}" for i in range(draw(st.integers(1, 5)))]
+    a = draw(
+        st.lists(st.sampled_from(alphabet), min_size=min_size, max_size=max_size)
     )
-    @settings(max_examples=150)
-    def test_chunk_spans_partition_the_pair_range(self, total, chunks):
-        spans = chunk_spans(total, chunks)
-        assert all(start < stop for start, stop in spans)
-        if total == 0:
-            assert spans == []
-            return
-        assert spans[0][0] == 0
-        assert spans[-1][1] == total
-        for (_, stop), (start, _) in zip(spans, spans[1:]):
-            assert start == stop
-        sizes = [stop - start for start, stop in spans]
-        assert max(sizes) - min(sizes) <= 1
+    shape = draw(st.sampled_from(("independent", "transposed", "empty")))
+    if shape == "independent":
+        b = draw(
+            st.lists(
+                st.sampled_from(alphabet), min_size=min_size, max_size=max_size
+            )
+        )
+    elif shape == "transposed":
+        b = list(a)
+        if len(b) >= 2:
+            swaps = st.integers(min_value=0, max_value=len(b) - 2)
+            for index in draw(st.lists(swaps, max_size=len(b))):
+                b[index], b[index + 1] = b[index + 1], b[index]
+    else:
+        b = []
+    return (b, a) if draw(st.booleans()) else (a, b)
+
+
+@pytest.mark.cluster
+class TestBitVectorKernel:
+    """The bit-vector kernel equals the DP oracle, inside and past one
+    64-bit machine word and past 256 tokens, and the matrix builder
+    equals a pair-by-pair loop over the kernel."""
+
+    @given(kernel_pairs(0, 12))
+    @settings(max_examples=400)
+    def test_matches_dp_on_short_sequences(self, pair):
+        a, b = pair
+        assert damerau_levenshtein(a, b) == dp_dld(a, b)
+
+    @given(st.one_of(kernel_pairs(65, 100), kernel_pairs(257, 300)))
+    @settings(max_examples=40, deadline=None)
+    def test_matches_dp_on_long_sequences(self, pair):
+        a, b = pair
+        assert damerau_levenshtein(a, b) == dp_dld(a, b)
 
     @given(st.lists(_tokens, min_size=1, max_size=8))
     @settings(max_examples=50, deadline=None)

@@ -303,15 +303,6 @@ class TestSketchMatrixContract:
         assert approx.values[1, 0] == 1.0
         assert not approx.pruned[1, 0]
 
-    def test_serial_equals_two_workers(self):
-        corpus = synthetic_token_corpus(260, seed=6)
-        config = SketchConfig(min_sequences=0)
-        serial = sketch_distance_matrix(corpus, config, workers=1)
-        parallel = sketch_distance_matrix(corpus, config, workers=2)
-        assert np.array_equal(serial.values, parallel.values)
-        assert np.array_equal(serial.pruned, parallel.pruned)
-        assert serial.candidate_pairs == parallel.candidate_pairs
-
     def test_telemetry_counts_pair_disposition(self):
         corpus = synthetic_token_corpus(150, seed=7)
         config = SketchConfig(min_sequences=0)
